@@ -278,6 +278,54 @@ def _sort_segment(key, *arrays):
     return tuple(np.take_along_axis(a, order, axis=1) for a in arrays)
 
 
+class _PathHistory:
+    """Per-row membership sets of non-negative ints, sized by path length.
+
+    A ``[batch, width]`` int64 matrix padded with ``-1`` plus a per-row
+    fill count: row ``r`` holds the values added for it so far, in
+    order.  A lookup adds at most one value per wave and runs at most
+    ``hop_limit + 1`` waves, so ``capacity = hop_limit + 1`` bounds
+    every row; ``width`` starts small and doubles (capped at
+    ``capacity``) when a row fills its last column.  Memory is
+    O(batch × path length) where a dense ``[batch, universe]`` mask
+    would be O(batch × n), and membership compares only the columns
+    some row has used — a few dozen at n = 10^6, hops concentrating
+    around c·log n.
+    """
+
+    _INITIAL_WIDTH = 8
+
+    def __init__(self, batch: int, capacity: int) -> None:
+        self.capacity = capacity
+        self.hist = np.full(
+            (batch, min(self._INITIAL_WIDTH, capacity)), -1, dtype=np.int64
+        )
+        self.fill = np.zeros(batch, dtype=np.int64)
+        self.used = 0  # columns any row has written
+
+    def add(self, rows, values) -> None:
+        """Append ``values[i]`` to row ``rows[i]`` (rows distinct)."""
+        at = self.fill[rows]
+        need = int(at.max()) + 1
+        width = self.hist.shape[1]
+        if need > width:  # fills grow by one per add: one doubling fits
+            grown = np.full(
+                (self.hist.shape[0], min(2 * width, self.capacity)),
+                -1,
+                dtype=np.int64,
+            )
+            grown[:, :width] = self.hist
+            self.hist = grown
+        self.hist[rows, at] = values
+        self.fill[rows] = at + 1
+        self.used = max(self.used, need)
+
+    def contains(self, rows, cand):
+        """``[m, w]`` bool: is ``cand[i, j]`` in row ``rows[i]``'s set."""
+        held = self.hist[rows, : self.used]
+        return (held[:, None, :] == cand[:, :, None]).any(axis=-1)
+
+
 class _KernelBase:
     """Column compiler + wave executor shared bones."""
 
@@ -351,8 +399,15 @@ class CycloidKernel(_KernelBase):
     ``[n, leaf_radius]`` index matrices padded with ``-1``; precomputed
     outside-arc endpoints per node.  ``alias`` maps every index to the
     live holder of its identifier (identity for live nodes), so the
-    by-id ``visited`` checks of the object engine translate to plain
-    row gathers.
+    by-id ``visited`` checks of the object engine translate to index
+    membership tests.
+
+    Per-lookup walk state is a pair of per-row path histories
+    (:class:`_PathHistory`): the node indices visited and the cubical
+    cycles the last mile has exhausted, each a ``-1``-padded
+    ``[batch, width]`` matrix whose width doubles as paths grow.  A
+    batch therefore holds O(batch × path length) state — hops are O(d)
+    — never a ``[batch, n]`` or ``[batch, 2^d]`` mask.
     """
 
     PHASES = ("ascending", "descending", "traverse")
@@ -698,9 +753,11 @@ class CycloidKernel(_KernelBase):
     def _execute(self, cur, kcub, kcyc, klin):
         batch = cur.shape[0]
         owners = self._owners(kcub, kcyc, klin)
-        count = self.cyc.shape[0]
-        visited = np.zeros((batch, count), dtype=bool)
-        explored = np.zeros((batch, self.modulus), dtype=bool)
+        # Per-row path histories: node indices walked (probed by alias
+        # — `current` is always live, so it is its own alias) and
+        # cubical cycles the last mile has exhausted.
+        visited = _PathHistory(batch, self.hop_limit + 1)
+        explored = _PathHistory(batch, self.hop_limit + 1)
         # begin_route observes the source.
         best_key = self._packed_distance(kcub, kcyc, klin, cur)
         best_idx = cur.copy()
@@ -724,7 +781,7 @@ class CycloidKernel(_KernelBase):
                 if rows.size == 0:
                     continue
                 current = cur[rows]
-            visited[rows, current] = True
+            visited.add(rows, current)
             nxt, pcode, wave_touts = self._decide(
                 rows, current, kcub[rows], kcyc[rows], klin[rows],
                 visited, explored, best_key, best_idx,
@@ -974,7 +1031,7 @@ class CycloidKernel(_KernelBase):
             inside = leaves[:, :half]
             ins_safe = leaf_safe[:, :half]
             ins_alias = ins_safe if all_alive else self.alias[ins_safe]
-            ins_unvisited = ~visited[rows[:, None], ins_alias]
+            ins_unvisited = ~visited.contains(rows, ins_alias)
             ins_valid = (
                 locally_minimal[:, None] & leaf_ok[:, :half] & ins_unvisited
             )
@@ -988,7 +1045,7 @@ class CycloidKernel(_KernelBase):
                 locally_minimal[:, None]
                 & live_out
                 & (out_cube == cur_cube[:, None])
-                & ~explored[rows[:, None], out_cub]
+                & ~explored.contains(rows, out_cub)
             )
             push(self._SEG_TIED, outside, tied_valid, out_pd * out_w, out_pd)
 
@@ -1016,7 +1073,7 @@ class CycloidKernel(_KernelBase):
         cand_safe = np.maximum(cand, 0)
         cand_alive = valid if all_alive else valid & self.alive[cand_safe]
         cand_alias = cand_safe if all_alive else self.alias[cand_safe]
-        cand_visited = visited[rows[:, None], cand_alias]
+        cand_visited = visited.contains(rows, cand_alias)
         acceptable = cand_alive & (
             (code == self._SEG_TIED) | ~cand_visited
         )
@@ -1067,7 +1124,7 @@ class CycloidKernel(_KernelBase):
             ~accepted | (accept_code == self._SEG_TIED)
         )
         if mark.any():
-            explored[rows[mark], cur_cub[mark]] = True
+            explored.add(rows[mark], cur_cub[mark])
 
         nxt = np.where(accepted, cand[row_arange, gather], -1)
         pcode = self._phase_of_seg[accept_code]

@@ -65,10 +65,6 @@ SCALE_PROTOCOLS = ("cycloid", "chord")
 #: The §S26 acceptance bar: bulk build vs extrapolated object build.
 SPEEDUP_BAR = 50.0
 
-#: Lookup batch rows per kernel wave — bounds the kernel's
-#: ``[batch, count]`` visited matrix to ~0.5 GB at n = 10^6.
-DEFAULT_BATCH_ROWS = 512
-
 
 @dataclass(frozen=True)
 class ScalePoint:
@@ -111,14 +107,17 @@ def run_scale_cell(
     lookups: int,
     seed: int,
     sampler: str = "fast",
-    batch_rows: int = DEFAULT_BATCH_ROWS,
+    batch_rows: Optional[int] = None,
 ) -> ScalePoint:
     """Bulk-build one overlay and run a kernel lookup batch on it.
 
     The workload is seeded per (protocol, count): sources are node
     indices, keys raw identifiers of the id space, both from one PCG64
     stream — so every field of the returned point, digest included, is
-    a pure function of the arguments.
+    a pure function of the arguments.  The lookups run as one kernel
+    batch; ``batch_rows`` splits them into chunks of that many rows for
+    callers that time chunked batches, and changes no result (per-row
+    kernel state is independent of the batch's other rows).
     """
     if np is None:  # pragma: no cover - numpy is baked into CI
         raise RuntimeError("the scale experiment requires numpy")
@@ -148,8 +147,9 @@ def run_scale_cell(
     success_parts = []
     timeouts = 0
     t0 = time.perf_counter()
-    for start in range(0, lookups, batch_rows):
-        stop = min(start + batch_rows, lookups)
+    step = batch_rows or lookups
+    for start in range(0, lookups, step):
+        stop = min(start + step, lookups)
         result = runner(sources[start:stop], keys[start:stop])
         hops_parts.append(result["hops"])
         final_parts.append(result["final"])
@@ -190,21 +190,13 @@ def run_scale_experiment(
     lookups: int = 2048,
     seed: int = 11,
     sampler: str = "fast",
-    batch_rows: int = DEFAULT_BATCH_ROWS,
 ) -> List[ScalePoint]:
     """The full sweep: every protocol at every population."""
     points: List[ScalePoint] = []
     for protocol in protocols:
         for count in counts:
             points.append(
-                run_scale_cell(
-                    protocol,
-                    count,
-                    lookups,
-                    seed,
-                    sampler=sampler,
-                    batch_rows=batch_rows,
-                )
+                run_scale_cell(protocol, count, lookups, seed, sampler=sampler)
             )
     return points
 

@@ -44,10 +44,13 @@ def percentile(values: Sequence[float], q: float) -> float:
     if low == high:
         return float(ordered[low])
     frac = rank - low
-    value = ordered[low] * (1.0 - frac) + ordered[high] * frac
-    # Clamp: float rounding must never push a percentile past the sample
-    # bounds (possible by one ulp for extreme magnitude mixes).
-    return min(max(value, ordered[0]), ordered[-1])
+    lo, hi = ordered[low], ordered[high]
+    # `lo + (hi - lo) * frac` is monotone in `frac` (the weighted form
+    # `lo * (1 - frac) + hi * frac` is not, by one ulp: [5]*8 + [6]
+    # gave p1 > p50).  Clamp to the bracketing samples: float rounding
+    # of `hi - lo` must never push a percentile past `hi` (possible by
+    # one ulp for extreme magnitude mixes), where the next rank starts.
+    return min(max(lo + (hi - lo) * frac, lo), hi)
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,6 @@ class TestExperiment:
             assert a.success_rate == b.success_rate
             assert a.timeouts == b.timeouts
 
-    def test_batch_rows_do_not_change_results(self):
-        whole = run_scale_experiment(batch_rows=64, **SMALL)
-        chunked = run_scale_experiment(batch_rows=7, **SMALL)
-        for a, b in zip(whole, chunked):
-            assert a.digest == b.digest
-
     def test_fit_power_law_recovers_a_known_exponent(self):
         ladder = [
             {"count": n, "seconds": 2.0 * n**1.5}

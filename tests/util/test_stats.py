@@ -1,7 +1,7 @@
 """Unit tests for repro.util.stats."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.util.stats import (
@@ -51,6 +51,7 @@ class TestPercentile:
             assert min(data) <= value <= max(data)
 
     @given(st.lists(st.integers(0, 1000), min_size=2, max_size=50))
+    @example([5] * 8 + [6])  # the weighted form's p1 exceeded its p50
     def test_monotone_in_q(self, data):
         assert percentile(data, 1) <= percentile(data, 50) <= percentile(data, 99)
 
