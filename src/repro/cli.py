@@ -27,11 +27,7 @@ size knobs so a laptop run can be scaled down.
 Every figure command accepts ``--workers N`` to fan its experiment out
 over N processes through :mod:`repro.sim.parallel`; the output is
 bit-identical at any worker count (``bench`` measures and checks
-exactly that).  The shard-driven commands additionally accept
-``--distribution {snapshot,rebuild}``: ``snapshot`` (default) builds
-each cell's network once and hands every shard a restored copy,
-``rebuild`` re-runs the join protocol per shard — the digests are
-bit-identical either way (DESIGN §S21).
+exactly that).
 
 The pure-lookup commands (fig5/6/7, fig14, fig-crash) also accept
 ``--backend {object,columnar}``: ``object`` (default) routes each
@@ -108,7 +104,7 @@ from repro.experiments.registry import ALL_PROTOCOLS
 from repro.experiments.scale import SCALE_COUNTS, SCALE_PROTOCOLS
 from repro.dht.bulkbuild import SAMPLERS
 from repro.dht.kernel import BACKENDS
-from repro.sim.parallel import DEFAULT_SHARD_SIZE, DISTRIBUTIONS
+from repro.sim.parallel import DEFAULT_SHARD_SIZE
 
 __all__ = ["main", "build_parser"]
 
@@ -121,17 +117,6 @@ def _add_workers(subparser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="fan the experiment out over N processes; the output is "
         "bit-identical at any worker count (default: 1)",
-    )
-
-
-def _add_distribution(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--distribution",
-        choices=DISTRIBUTIONS,
-        default="snapshot",
-        help="how each shard obtains its network: 'snapshot' builds the "
-        "cell once and restores copies (default), 'rebuild' re-runs the "
-        "full join protocol per shard; both are bit-identical",
     )
 
 
@@ -408,14 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         fig_latency, fig_adversary, maint,
     ):
         _add_workers(figure)
-    # The run_sharded_lookups-driven commands also choose a shard
-    # network distribution; fig12/maint run whole cells, fig8/9 assign
-    # keys without routing, so the knob does not apply to them.
-    for figure in (
-        fig5, fig6, fig7, fig10, fig11, fig13, fig14, crash, fig_latency,
-        fig_adversary,
-    ):
-        _add_distribution(figure)
     # The pure-lookup cells additionally choose an execution backend.
     for figure in (fig5, fig6, fig7, fig14, crash, fig_latency, fig_adversary):
         _add_backend(figure)
@@ -646,7 +623,6 @@ def _run_fig5_or_6(
         seed=args.seed,
         observer=observer,
         workers=args.workers,
-        distribution=args.distribution,
         backend=args.backend,
     )
     x_header = "d" if by_dimension else "n"
@@ -918,7 +894,6 @@ def _dispatch(
             seed=args.seed,
             observer=sink,
             workers=args.workers,
-            distribution=args.distribution,
             backend=args.backend,
         )
         rows = [
@@ -969,7 +944,6 @@ def _dispatch(
             seed=args.seed,
             observer=sink,
             workers=args.workers,
-        distribution=args.distribution,
         )
         rows = [
             [
@@ -995,7 +969,6 @@ def _dispatch(
             seed=args.seed,
             observer=sink,
             workers=args.workers,
-        distribution=args.distribution,
         )
         rows = [
             [
@@ -1046,7 +1019,6 @@ def _dispatch(
             seed=args.seed,
             observer=sink,
             workers=args.workers,
-        distribution=args.distribution,
         )
         rows = [
             [
@@ -1070,7 +1042,6 @@ def _dispatch(
             seed=args.seed,
             observer=sink,
             workers=args.workers,
-            distribution=args.distribution,
             backend=args.backend,
         )
         rows = [
@@ -1098,7 +1069,6 @@ def _dispatch(
             dimension=args.dimension,
             observer=sink,
             workers=args.workers,
-            distribution=args.distribution,
             backend=args.backend,
         )
         rows = [
@@ -1147,7 +1117,6 @@ def _dispatch(
             model=model,
             observer=sink,
             workers=args.workers,
-            distribution=args.distribution,
             backend=args.backend,
         )
         report = latency_report(
@@ -1220,7 +1189,6 @@ def _dispatch(
             target_key=args.target_key,
             observer=sink,
             workers=args.workers,
-            distribution=args.distribution,
             backend=args.backend,
             cache_capacity=args.cache_capacity,
         )

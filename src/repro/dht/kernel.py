@@ -83,9 +83,8 @@ _INF = np.int64(2**62) if np is not None else None
 
 
 def check_backend(backend: str) -> None:
-    """Validate a backend name, mirroring the actionable
-    ``run_sharded_lookups`` distribution error: name the bad value and
-    list the valid choices."""
+    """Validate a backend name with an actionable error: name the bad
+    value and list the valid choices."""
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"

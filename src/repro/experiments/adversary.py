@@ -147,8 +147,9 @@ def build_adversary_network(
 
     Module-level with picklable arguments (``AdversaryPlan`` is a
     frozen dataclass) so ``functools.partial`` over it crosses the
-    sharded runner's process pool; both the snapshot and rebuild
-    distributions therefore see the identical attacked topology.
+    sharded runner's process pool; every shard, whether it routes on a
+    restored snapshot or on a fresh build, sees the identical attacked
+    topology.
     """
     if protocol.startswith("cycloid"):
         network = build_sized_network(
@@ -221,7 +222,6 @@ def run_adversary_experiment(
     target_key: str = DEFAULT_TARGET_KEY,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
     backend: str = DEFAULT_BACKEND,
     shard_size: int = DEFAULT_SHARD_SIZE,
     zipf_s: float = DEFAULT_ZIPF_S,
@@ -270,7 +270,6 @@ def run_adversary_experiment(
                 workers=workers,
                 shard_size=shard_size,
                 observer=observer,
-                distribution=distribution,
                 backend=backend,
             )
             stats = merged.stats

@@ -26,8 +26,11 @@ from repro.dht.metrics import LookupStats
 from repro.experiments.registry import build_complete_network
 from repro.sim.parallel import (
     DEFAULT_SHARD_SIZE,
+    ShardTask,
     available_workers,
+    execute_shard,
     plain_setup,
+    plan_shards,
     run_sharded_lookups,
 )
 from repro.sim.workload import lookup_workload
@@ -139,8 +142,8 @@ class CloneBenchCell:
     protocol); ``restore_seconds``/``clone_seconds`` are what a shard
     pays now (snapshot restore across the pool, in-process clone on the
     serial path).  ``digest_match`` confirms the cheap path changed
-    nothing: snapshot-distribution digest == rebuild-distribution
-    digest on the same cell.
+    nothing: one shard routed on a restored snapshot has the digest of
+    the same shard routed on the freshly built network.
     """
 
     protocol: str
@@ -190,15 +193,18 @@ def run_clone_bench(
 ) -> List[CloneBenchCell]:
     """Time one full network build against snapshot restore / clone.
 
-    The build is what the rebuild distribution pays *per shard*; the
-    restore/clone is what the snapshot distribution pays instead, so
+    The build is what a shard would pay to route on a network of its
+    own; the restore/clone is what it pays instead, so
     ``restore_speedup`` is the per-shard saving of DESIGN §S21.  Every
-    timing is the best of ``repeats`` runs.  The digest check runs the
-    same small cell through both distributions at ``workers=1`` and
-    compares merged digests.
+    timing is the best of ``repeats`` runs.  The digest check routes the
+    cell's first shard (of ``lookups`` split by ``shard_size``) once on
+    the built network and once on ``snapshot.restore()`` and compares
+    the two digests.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if lookups < 1:
+        raise ValueError("lookups must be >= 1")
     cells: List[CloneBenchCell] = []
     for protocol in protocols:
         setup = partial(
@@ -222,22 +228,11 @@ def run_clone_bench(
         restore_seconds, _ = best_of(snapshot.restore)
         clone_seconds, _ = best_of(network.clone)
 
-        via_snapshot = run_sharded_lookups(
-            setup,
-            lookups,
-            seed + dimension,
-            workers=1,
-            shard_size=shard_size,
-            distribution="snapshot",
+        task = ShardTask(
+            spec=plan_shards(lookups, shard_size)[0], seed=seed + dimension
         )
-        via_rebuild = run_sharded_lookups(
-            setup,
-            lookups,
-            seed + dimension,
-            workers=1,
-            shard_size=shard_size,
-            distribution="rebuild",
-        )
+        via_build = execute_shard(task, prepared=(network, None))
+        via_restore = execute_shard(task, prepared=(snapshot.restore(), None))
         cells.append(
             CloneBenchCell(
                 protocol=protocol,
@@ -248,7 +243,8 @@ def run_clone_bench(
                 restore_seconds=restore_seconds,
                 clone_seconds=clone_seconds,
                 digest_match=(
-                    via_snapshot.stats.digest() == via_rebuild.stats.digest()
+                    LookupStats(via_build.records).digest()
+                    == LookupStats(via_restore.records).digest()
                 ),
             )
         )
@@ -374,7 +370,7 @@ def bench_report(
     """The JSON document ``bench`` writes to ``BENCH_parallel.json``.
 
     ``all_match`` covers every digest comparison in the report: the
-    serial-vs-parallel cells, the snapshot-vs-rebuild clone cells *and*
+    serial-vs-parallel cells, the restore-vs-build clone cells *and*
     the object-vs-columnar kernel cells.
     """
     return {

@@ -48,7 +48,6 @@ def run_phase_breakdown_experiment(
     seed: int = 42,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
     backend: str = "object",
 ) -> List[BreakdownPoint]:
     """Fig. 7(a)-(c): phase breakdown on complete networks."""
@@ -66,7 +65,6 @@ def run_phase_breakdown_experiment(
                 lookups,
                 seed + dimension,
                 workers=workers,
-                distribution=distribution,
                 observer=observer,
                 backend=backend,
             ).stats
@@ -93,7 +91,6 @@ def run_koorde_sparsity_breakdown(
     seed: int = 42,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
     backend: str = "object",
 ) -> List[BreakdownPoint]:
     """Fig. 14: Koorde's de Bruijn vs successor hop split vs sparsity.
@@ -120,7 +117,6 @@ def run_koorde_sparsity_breakdown(
             lookups,
             seed + count,
             workers=workers,
-            distribution=distribution,
             observer=observer,
             backend=backend,
         ).stats

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.dht.base import Network
 from repro.dht.kernel import DEFAULT_BACKEND, check_backend
@@ -12,9 +11,12 @@ from repro.dht.metrics import LookupStats
 from repro.dht.routing import TraceObserver
 from repro.sim.faults import FaultInjector
 from repro.sim.latency import LatencyModel
-from repro.sim.parallel import DEFAULT_SHARD_SIZE, plan_shards
-from repro.sim.workload import lookup_workload
-from repro.util.rng import shard_rng
+from repro.sim.parallel import (
+    DEFAULT_SHARD_SIZE,
+    ShardTask,
+    plan_shards,
+    route_shard,
+)
 
 __all__ = ["run_lookups", "fail_nodes"]
 
@@ -27,7 +29,6 @@ def run_lookups(
     observer: Optional[TraceObserver] = None,
     injector: Optional[FaultInjector] = None,
     retry_budget: int = 0,
-    rng_factory: Optional[Callable[[int], random.Random]] = None,
     shard_size: int = DEFAULT_SHARD_SIZE,
     backend: str = DEFAULT_BACKEND,
     latency: Optional[LatencyModel] = None,
@@ -41,15 +42,14 @@ def run_lookups(
 
     The workload is executed in deterministic shards (DESIGN.md §S20):
     shard ``k`` covers a contiguous slice of the global lookup indices
-    and draws from ``rng_factory(k)``.  The default factory derives
-    independent streams from ``(seed, k)`` via
-    :func:`repro.util.rng.shard_rng`, which makes the record sequence
-    identical to a :func:`repro.sim.parallel.run_sharded_lookups` run
-    of the same cell whenever routing carries no state between lookups
-    (always true without an active injector).  Pass ``rng_factory``
-    directly to control the streams; exactly one of ``seed`` /
-    ``rng_factory`` is required — silent default seeds already bit us
-    in ``fail_nodes``, so there is no unseeded fallback anywhere.
+    and draws from ``shard_rng(seed, k)`` through the same shard body
+    as :func:`repro.sim.parallel.run_sharded_lookups`
+    (:func:`~repro.sim.parallel.route_shard`), which makes the record
+    sequence identical to a sharded run of the same cell whenever
+    routing carries no state between lookups (always true without an
+    active injector).  ``seed`` is required — silent default seeds
+    already bit us in ``fail_nodes``, so there is no unseeded fallback
+    anywhere.
 
     All shards run in-process against the given ``network`` instance;
     ``observer`` (e.g. a :class:`~repro.dht.routing.JsonlTraceSink`)
@@ -63,43 +63,26 @@ def run_lookups(
     every record carries its modeled end-to-end milliseconds (§S25).
     """
     check_backend(backend)
-    if rng_factory is not None and seed is not None:
-        raise TypeError("pass either seed or rng_factory, not both")
-    if rng_factory is None:
-        if seed is None:
-            raise TypeError(
-                "run_lookups() requires an explicit seed=... or "
-                "rng_factory=... so the experiment is reproducible by "
-                "construction"
-            )
-        rng_factory = partial(shard_rng, seed)
+    if seed is None:
+        raise TypeError(
+            "run_lookups() requires an explicit seed=... so the "
+            "experiment is reproducible by construction"
+        )
+    keys = tuple(keys)
     stats = LookupStats()
     for spec in plan_shards(count, shard_size):
-        shard_injector = (
-            injector.for_shard(spec.index) if injector is not None else None
+        task = ShardTask(
+            spec=spec,
+            seed=seed,
+            keys=keys,
+            retry_budget=retry_budget,
+            backend=backend,
+            latency=latency,
         )
-        stats.extend(
-            network.lookup_many(
-                lookup_workload(
-                    network,
-                    spec.count,
-                    rng_factory(spec.index),
-                    keys,
-                    start=spec.offset,
-                ),
-                observer=observer,
-                injector=shard_injector,
-                retry_budget=retry_budget,
-                backend=backend,
-                latency=(
-                    latency.for_shard(spec.index)
-                    if latency is not None
-                    else None
-                ),
-            )
-        )
-        if shard_injector is not None:
-            injector.dropped += shard_injector.dropped
+        records, dropped = route_shard(task, network, injector, observer)
+        stats.extend(records)
+        if injector is not None:
+            injector.dropped += dropped
     return stats
 
 

@@ -109,7 +109,6 @@ def run_crash_experiment(
     retry_budget: int = 8,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
     backend: str = "object",
 ) -> List[CrashPoint]:
     """Sweep graceful/crash/crash+retry over every overlay.
@@ -159,7 +158,6 @@ def run_crash_experiment(
                     lookups,
                     seed + 1,
                     workers=workers,
-                    distribution=distribution,
                     retry_budget=budget,
                     observer=observer,
                     backend=backend,

@@ -35,8 +35,8 @@ def departed_setup(
 ):
     """Shard setup: a complete network after seeded graceful departures.
 
-    Module-level (and built with ``functools.partial``) so shard tasks
-    pickle into worker processes; every shard rebuilds the identical
+    Module-level (and built with ``functools.partial``) so it pickles
+    like every shard setup; every call yields the identical
     post-departure topology because both the build and the departure
     draw are pure functions of the seeds.
     """
@@ -70,7 +70,6 @@ def run_mass_departure_experiment(
     seed: int = 42,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
 ) -> List[FailurePoint]:
     """Fig. 11 (mean path length vs p) and Table 4 (timeouts vs p).
 
@@ -92,7 +91,6 @@ def run_mass_departure_experiment(
                 lookups,
                 seed + 1,
                 workers=workers,
-                distribution=distribution,
                 observer=observer,
             )
             stats = merged.stats

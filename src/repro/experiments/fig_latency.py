@@ -97,7 +97,6 @@ def run_latency_experiment(
     model: LatencyModel = DEFAULT_MODEL,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
     backend: str = DEFAULT_BACKEND,
     shard_size: int = DEFAULT_SHARD_SIZE,
 ) -> List[LatencyPoint]:
@@ -150,7 +149,6 @@ def run_latency_experiment(
             workers=workers,
             shard_size=shard_size,
             observer=observer,
-            distribution=distribution,
             backend=backend,
             latency=model,
         )

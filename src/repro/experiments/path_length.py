@@ -40,7 +40,6 @@ def run_path_length_experiment(
     seed: int = 42,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
     backend: str = "object",
 ) -> List[PathLengthPoint]:
     """Measure mean lookup path length for every protocol and dimension.
@@ -69,7 +68,6 @@ def run_path_length_experiment(
                 lookups,
                 seed + dimension,
                 workers=workers,
-                distribution=distribution,
                 observer=observer,
                 backend=backend,
             )

@@ -51,7 +51,6 @@ def run_query_load_experiment(
     seed: int = 42,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
 ) -> List[QueryLoadPoint]:
     """Measure the query-load spread for each protocol and size.
 
@@ -75,7 +74,6 @@ def run_query_load_experiment(
                 total_lookups,
                 seed + dimension,
                 workers=workers,
-                distribution=distribution,
                 observer=observer,
             )
             summary = summarize(

@@ -44,7 +44,6 @@ def run_sparsity_experiment(
     seed: int = 42,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
 ) -> List[SparsityPoint]:
     """Fig. 13: mean path length vs degree of network sparsity."""
     bits = (id_space - 1).bit_length()
@@ -70,7 +69,6 @@ def run_sparsity_experiment(
                 lookups,
                 seed + population,
                 workers=workers,
-                distribution=distribution,
                 observer=observer,
             ).stats
             points.append(

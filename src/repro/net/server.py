@@ -164,6 +164,7 @@ class NodeService:
         self._peers: Dict[Address, RpcConnection] = {}
         self._peer_lock = asyncio.Lock()
         self._client_writers: Set[asyncio.StreamWriter] = set()
+        self._connection_tasks: Set[asyncio.Task] = set()
         self._handler_tasks: Set[asyncio.Task] = set()
         self._names: Dict[str, Node] = {}
         self._step_counter = itertools.count(1)
@@ -194,7 +195,10 @@ class NodeService:
             task.cancel()
         for writer in list(self._client_writers):
             writer.close()
-        for task in list(self._handler_tasks):
+        connections = list(self._connection_tasks)
+        for task in connections:
+            task.cancel()
+        for task in list(self._handler_tasks) + connections:
             try:
                 await task
             except (asyncio.CancelledError, Exception):
@@ -217,6 +221,8 @@ class NodeService:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        connection = asyncio.current_task()
+        self._connection_tasks.add(connection)
         self._client_writers.add(writer)
         send_lock = asyncio.Lock()
         try:
@@ -250,7 +256,13 @@ class NodeService:
                 )
                 self._handler_tasks.add(task)
                 task.add_done_callback(self._handler_tasks.discard)
+        except asyncio.CancelledError:
+            # stop() cancels the connections still open at shutdown.
+            # Ending normally keeps asyncio's connection callback from
+            # logging the cancellation as an unhandled error.
+            pass
         finally:
+            self._connection_tasks.discard(connection)
             self._client_writers.discard(writer)
             writer.close()
             try:

@@ -169,8 +169,8 @@ class Adversary:
     names (in insertion order) and the counters describe what happened.
     The executor is deliberately stateless between networks — applying
     one adversary to two identically-built networks yields bit-identical
-    results, which is what lets the sharded runner's snapshot and
-    rebuild distributions agree.
+    results, which is what lets a sharded run on restored snapshots
+    agree with a fresh build per shard.
     """
 
     __slots__ = (

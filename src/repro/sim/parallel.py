@@ -10,10 +10,11 @@ This module restructures a cell's workload into **shards**:
   ``(count, shard_size)`` — never of the worker count — so the same
   cell always produces the same shards no matter how it is executed.
 * Each shard draws its workload from its own RNG stream, derived from
-  ``(seed, shard_index)`` via :func:`repro.util.rng.shard_rng`, builds
-  its network locally from a picklable zero-argument ``setup``
-  callable, and returns a picklable :class:`ShardResult` (records plus
-  query-load / repair / fault aggregates).
+  ``(seed, shard_index)`` via :func:`repro.util.rng.shard_rng`, routes
+  on a fresh copy of the cell's network (built once from a picklable
+  zero-argument ``setup`` callable), and returns a picklable
+  :class:`ShardResult` (records plus query-load / repair / fault
+  aggregates).
 * :func:`merge_shards` folds shard results **by shard index**, so the
   merged run is invariant under any completion order, and cross-checks
   the invariants that make the merge meaningful (every shard saw the
@@ -34,22 +35,20 @@ Every shard routes on a **fresh network instance**.  That is what makes
 fault-mode runs order-independent: lazy route repair
 (``Network.on_dead_entry``) mutates routing tables, so two shards
 sharing one network instance would leak state from whichever ran first.
-How the fresh instance is obtained is the ``distribution`` choice:
+The cell's prepared network is built from the setup callable **exactly
+once** and captured (§S21); every shard routes on a copy restored in
+O(state) — an immutable :class:`~repro.dht.snapshot.NetworkSnapshot`
+for pool workers, one packed capture unpacked per shard when running
+serially, with the final serial shard consuming the original.  Fault
+injectors are never serialised: the post-setup injector is a pure
+function of ``(plan, flaky set, crash count)``
+(:class:`~repro.sim.faults.FaultState`) and reattaches bit-exactly.
 
-* ``"snapshot"`` (the default, §S21) builds the prepared network from
-  the setup callable **exactly once**, captures it — as an immutable
-  :class:`~repro.dht.snapshot.NetworkSnapshot` for pool workers, or via
-  the in-process :meth:`~repro.dht.base.Network.clone` fast path when
-  running serially — and hands every shard a restored copy in O(state).
-  Fault injectors are never serialised: the post-setup injector is a
-  pure function of ``(plan, flaky set, crash count)``
-  (:class:`~repro.sim.faults.FaultState`) and reattaches bit-exactly.
-* ``"rebuild"`` (§S20, kept as the referee) re-runs the setup callable
-  in every shard — one full join protocol per shard.
-
-Both distributions produce bit-identical merged digests at every worker
-count; the parity suite pins snapshot == rebuild for every overlay,
-with and without an enabled :class:`~repro.sim.faults.FaultPlan`.
+The parity suite keeps a fresh-build referee in the tests: it calls
+``setup()`` afresh for every shard, routes through
+:func:`execute_shard`, and must equal this runner's merged digest for
+every overlay at every worker count, with and without an enabled
+:class:`~repro.sim.faults.FaultPlan`.
 
 Trace observers hold open file handles and are not picklable, so an
 ``observer`` forces in-process execution; the shard plan (and therefore
@@ -88,7 +87,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.sim.faults import FaultInjector
 
 __all__ = [
-    "DISTRIBUTIONS",
     "DEFAULT_SHARD_SIZE",
     "ShardSpec",
     "ShardTask",
@@ -96,6 +94,7 @@ __all__ = [
     "MergedRun",
     "plan_shards",
     "plain_setup",
+    "route_shard",
     "execute_shard",
     "merge_shards",
     "run_sharded_lookups",
@@ -115,14 +114,8 @@ Setup = Callable[[], Tuple["Network", Optional["FaultInjector"]]]
 #: Default lookups per shard.  Chosen so a paper-scale cell (2000
 #: lookups) splits into 4 shards — enough fan-out to keep 4 workers
 #: busy — while a test-scale cell (a few hundred lookups) stays a
-#: single shard and pays no extra network build.
+#: single shard and pays no snapshot capture or restore.
 DEFAULT_SHARD_SIZE = 500
-
-#: How shards obtain their fresh network instance (module docstring):
-#: ``"snapshot"`` builds once and restores copies; ``"rebuild"``
-#: re-runs the setup callable per shard.
-DISTRIBUTIONS: Tuple[str, ...] = ("snapshot", "rebuild")
-
 
 def available_workers() -> int:
     """Usable CPU count (affinity-aware where the platform exposes it)."""
@@ -223,17 +216,16 @@ def plain_setup(builder: Callable[..., "Network"], *args, **kwargs):
 class ShardTask:
     """Everything a worker process needs to execute one shard.
 
-    Exactly one network source must be set: ``snapshot`` (the build-once
-    distribution — ``faults`` reattaches the injector from the plan
-    seed) or ``setup`` (the per-shard rebuild distribution).  A cell's
-    snapshot bytes are captured once and shared by reference across all
-    of its tasks, so the pool pickles them once per worker, not once
-    per shard.
+    Pool tasks carry the cell's ``snapshot`` (``faults`` reattaches the
+    injector from the plan seed); the in-process path leaves both unset
+    and hands :func:`execute_shard` its network as ``prepared``.  A
+    cell's snapshot bytes are captured once and shared by reference
+    across all of its tasks, so the pool pickles them once per worker,
+    not once per shard.
     """
 
     spec: ShardSpec
     seed: int
-    setup: Optional[Setup] = None
     keys: Tuple[object, ...] = ()
     retry_budget: int = 0
     snapshot: Optional[NetworkSnapshot] = None
@@ -243,12 +235,6 @@ class ShardTask:
     #: pool workers as-is, and ``for_shard`` keeps every shard on the
     #: identical pure-function model.
     latency: Optional[LatencyModel] = None
-
-    def __post_init__(self) -> None:
-        if (self.setup is None) == (self.snapshot is None):
-            raise ValueError(
-                "exactly one of setup/snapshot must be provided"
-            )
 
 
 @dataclass
@@ -283,43 +269,26 @@ class MergedRun:
     shards: int = 0
 
 
-def execute_shard(
+def route_shard(
     task: ShardTask,
+    network: "Network",
+    injector: Optional["FaultInjector"] = None,
     observer: Optional["TraceObserver"] = None,
-    prepared: Optional[
-        Tuple["Network", Optional["FaultInjector"]]
-    ] = None,
-) -> ShardResult:
-    """Run one shard: obtain a fresh network, route, aggregate.
+) -> Tuple[List[LookupRecord], int]:
+    """Route one shard's workload on ``network``; the one shard body.
 
-    This is the single execution path for every worker count — the
-    serial fallback calls it in-process, the parallel path ships the
-    (picklable) task to a pool worker.  The network comes from, in
-    order of precedence: ``prepared`` (an in-process clone handed over
-    by the serial snapshot path), the task's ``snapshot`` (restored
-    bytes, injector reattached from ``task.faults``), or the task's
-    ``setup`` callable (full per-shard rebuild).  ``observer`` only
-    exists on the in-process path; it never affects routing.
+    Draws the shard's ``(source, key)`` pairs from
+    ``shard_rng(task.seed, spec.index)`` starting at global index
+    ``spec.offset`` and routes them with the injector's and latency
+    model's per-shard streams.  Returns the records and the number of
+    messages the shard's injector dropped.  :func:`execute_shard` and
+    :func:`repro.experiments.common.run_lookups` both route through
+    here, so a shard is the same computation on either path.
     """
     spec = task.spec
-    if prepared is not None:
-        network, injector = prepared
-    elif task.snapshot is not None:
-        network = task.snapshot.restore()
-        injector = (
-            task.faults.rebuild() if task.faults is not None else None
-        )
-    else:
-        network, injector = task.setup()
     shard_injector = (
         injector.for_shard(spec.index) if injector is not None else None
     )
-    shard_latency = (
-        task.latency.for_shard(spec.index)
-        if task.latency is not None
-        else None
-    )
-    network.reset_query_counts()
     records = network.lookup_many(
         lookup_workload(
             network,
@@ -332,20 +301,57 @@ def execute_shard(
         injector=shard_injector,
         retry_budget=task.retry_budget,
         backend=task.backend,
-        latency=shard_latency,
+        latency=(
+            task.latency.for_shard(spec.index)
+            if task.latency is not None
+            else None
+        ),
     )
+    dropped = shard_injector.dropped if shard_injector is not None else 0
+    return records, dropped
+
+
+def execute_shard(
+    task: ShardTask,
+    observer: Optional["TraceObserver"] = None,
+    prepared: Optional[
+        Tuple["Network", Optional["FaultInjector"]]
+    ] = None,
+) -> ShardResult:
+    """Run one shard on a fresh network and aggregate its outcome.
+
+    This is the single execution path for every worker count — the
+    serial path calls it in-process with ``prepared`` (a fresh copy of
+    the cell's network and its injector), the parallel path ships the
+    (picklable) task to a pool worker, which restores the task's
+    ``snapshot`` and reattaches the injector from ``task.faults``.
+    ``observer`` only exists on the in-process path; it never affects
+    routing.
+    """
+    if prepared is not None:
+        network, injector = prepared
+    elif task.snapshot is not None:
+        network = task.snapshot.restore()
+        injector = (
+            task.faults.rebuild() if task.faults is not None else None
+        )
+    else:
+        raise ValueError(
+            "a shard task without a snapshot needs prepared=(network, "
+            "injector)"
+        )
+    network.reset_query_counts()
+    records, dropped = route_shard(task, network, injector, observer)
     live = network.live_nodes()
     return ShardResult(
-        index=spec.index,
+        index=task.spec.index,
         records=records,
         query_counts={
             node.name: count
             for node, count in zip(live, network.query_counts())
         },
         route_repairs=network.route_repairs,
-        dropped_messages=(
-            shard_injector.dropped if shard_injector is not None else 0
-        ),
+        dropped_messages=dropped,
         crashed=injector.crashed if injector is not None else 0,
         population=len(live),
     )
@@ -403,7 +409,6 @@ def run_sharded_lookups(
     keys: Sequence[object] = (),
     retry_budget: int = 0,
     observer: Optional["TraceObserver"] = None,
-    distribution: str = "snapshot",
     backend: str = DEFAULT_BACKEND,
     latency: Optional[LatencyModel] = None,
 ) -> MergedRun:
@@ -411,13 +416,11 @@ def run_sharded_lookups(
 
     The result is a pure function of ``(setup, count, seed, shard_size,
     keys, retry_budget, latency)`` — ``workers`` only chooses the
-    fan-out, ``distribution`` only chooses how each shard obtains its
-    fresh network, and ``backend`` only chooses each shard's lookup
-    execution strategy (``"object"`` or the bit-identical ``"columnar"``
-    kernel, DESIGN §S23).  ``"snapshot"`` builds once and hands every
-    shard a restored copy (clones in-process, pickled bytes across the
-    pool); ``"rebuild"`` re-runs ``setup`` per shard.  Both are
-    bit-identical.  ``workers=1`` (or a non-picklable ``observer``, or a
+    fan-out, and ``backend`` only chooses each shard's lookup execution
+    strategy (``"object"`` or the bit-identical ``"columnar"`` kernel,
+    DESIGN §S23).  ``setup`` runs exactly once per non-empty cell and
+    every shard routes on a restored copy of its network (module
+    docstring).  ``workers=1`` (or a non-picklable ``observer``, or a
     single-shard plan) runs every shard in-process through the identical
     shard/merge path.  An attached :class:`~repro.sim.latency.LatencyModel`
     is a pure function of its seed, so records carry identical modeled
@@ -425,64 +428,23 @@ def run_sharded_lookups(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if distribution not in DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown distribution {distribution!r}; "
-            f"expected one of {DISTRIBUTIONS}"
-        )
     check_backend(backend)
     _warn_if_oversubscribed(workers)
     specs = plan_shards(count, shard_size)
-    serial = workers == 1 or observer is not None or len(specs) <= 1
-    if distribution == "rebuild":
-        tasks = [
-            ShardTask(
-                setup=setup,
-                spec=spec,
-                seed=seed,
-                keys=tuple(keys),
-                retry_budget=retry_budget,
-                backend=backend,
-                latency=latency,
-            )
-            for spec in specs
-        ]
-        if serial:
-            results = [execute_shard(task, observer) for task in tasks]
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(tasks))
-            ) as pool:
-                results = list(pool.map(execute_shard, tasks))
-        return merge_shards(results)
     if not specs:
         return merge_shards([])
-    # Build-once snapshot distribution: one setup() for the whole cell.
     network, injector = setup()
-    if serial:
-        # Shards before the last route on copies unpacked from one
-        # packed capture of the still-pristine original (only copies
-        # are mutated); the final shard consumes the original itself,
-        # so a single-shard plan packs nothing at all.
-        packed = pack_network(network) if len(specs) > 1 else None
-        results = []
-        for task in _snapshot_tasks(
-            specs, seed, keys, retry_budget, backend, latency
-        ):
-            prepared = (
-                (network, injector)
-                if task.spec is specs[-1]
-                else (unpack_network(packed), injector)
-            )
-            results.append(execute_shard(task, observer, prepared))
-        return merge_shards(results)
-    snapshot = network.snapshot()
-    faults = FaultState.capture(injector) if injector is not None else None
+    serial = workers == 1 or observer is not None or len(specs) <= 1
+    snapshot = faults = None
+    if not serial:
+        snapshot = network.snapshot()
+        faults = FaultState.capture(injector) if injector is not None else None
+    keys = tuple(keys)
     tasks = [
         ShardTask(
             spec=spec,
             seed=seed,
-            keys=tuple(keys),
+            keys=keys,
             retry_budget=retry_budget,
             snapshot=snapshot,
             faults=faults,
@@ -491,44 +453,20 @@ def run_sharded_lookups(
         )
         for spec in specs
     ]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        results = list(pool.map(execute_shard, tasks))
+    if serial:
+        # Shards before the last route on copies unpacked from one packed
+        # capture of the still-pristine original (only copies are
+        # mutated); the final shard consumes the original itself, so a
+        # single-shard plan packs nothing at all.
+        packed = pack_network(network) if len(tasks) > 1 else None
+        results = []
+        for task in tasks:
+            copy = network if task is tasks[-1] else unpack_network(packed)
+            results.append(execute_shard(task, observer, (copy, injector)))
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(execute_shard, tasks))
     return merge_shards(results)
-
-
-def _snapshot_tasks(
-    specs: Sequence[ShardSpec],
-    seed: int,
-    keys: Sequence[object],
-    retry_budget: int,
-    backend: str = DEFAULT_BACKEND,
-    latency: Optional[LatencyModel] = None,
-) -> List[ShardTask]:
-    """Placeholder tasks for the in-process snapshot path.
-
-    The network arrives via ``execute_shard``'s ``prepared`` argument;
-    the dummy setup satisfies the one-source-only task invariant and is
-    never called.
-    """
-    return [
-        ShardTask(
-            setup=_prepared_network_expected,
-            spec=spec,
-            seed=seed,
-            keys=tuple(keys),
-            retry_budget=retry_budget,
-            backend=backend,
-            latency=latency,
-        )
-        for spec in specs
-    ]
-
-
-def _prepared_network_expected():  # pragma: no cover - never called
-    raise RuntimeError(
-        "in-process snapshot tasks must be run with prepared=(network, "
-        "injector)"
-    )
 
 
 def _call_cell(task: Callable[[], T]) -> T:

@@ -240,7 +240,7 @@ def test_columnar_protocol_registry():
 
 class TestBackendErrors:
     """The unknown-``backend`` error names the bad value and lists the
-    valid choices, mirroring the distribution error."""
+    valid choices."""
 
     def test_default_backend_is_object(self):
         assert DEFAULT_BACKEND == "object"

@@ -1,8 +1,8 @@
 """Unit tests for the snapshot/clone codec (DESIGN.md §S21).
 
-The parity suite (tests/sim) proves snapshot distribution is
-bit-identical to rebuild end-to-end; this file pins the codec's own
-contract: pickle round-trips for every overlay at two scales, dead
+The parity suite (tests/sim) proves a sharded run on restored copies
+is bit-identical to a fresh build per shard; this file pins the codec's
+own contract: pickle round-trips for every overlay at two scales, dead
 nodes captured through stale pointers, the owner cache excluded, and
 unknown types rejected loudly.
 """

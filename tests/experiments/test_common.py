@@ -9,6 +9,7 @@ import pytest
 from repro.core import CycloidNetwork
 from repro.experiments.common import run_lookups
 from repro.experiments.registry import build_complete_network
+from repro.sim import parallel
 from repro.sim.parallel import plain_setup, run_sharded_lookups
 from repro.util.rng import shard_rng
 
@@ -22,12 +23,6 @@ class TestSeedHandling:
         with pytest.raises(TypeError, match="explicit seed"):
             run_lookups(_network(), 5)
 
-    def test_seed_and_factory_conflict(self):
-        with pytest.raises(TypeError):
-            run_lookups(
-                _network(), 5, seed=1, rng_factory=partial(shard_rng, 1)
-            )
-
     def test_explicit_seed_emits_no_warning(self, recwarn):
         run_lookups(_network(), 5, seed=3)
         assert not [
@@ -35,35 +30,26 @@ class TestSeedHandling:
         ]
 
 
-class TestRngFactory:
-    def test_factory_matches_equivalent_seed(self):
-        seeded = run_lookups(_network(), 40, seed=9, shard_size=10)
-        injected = run_lookups(
-            _network(),
-            40,
-            rng_factory=partial(shard_rng, 9),
-            shard_size=10,
-        )
-        assert seeded.records == injected.records
-
-    def test_factory_receives_shard_indices(self):
+class TestShardStreams:
+    def test_each_shard_draws_its_own_seeded_stream(self, monkeypatch):
         calls = []
 
-        def factory(index):
-            calls.append(index)
-            return shard_rng(5, index)
+        def recording_shard_rng(seed, index):
+            calls.append((seed, index))
+            return shard_rng(seed, index)
 
-        run_lookups(_network(), 40, rng_factory=factory, shard_size=10)
-        assert calls == [0, 1, 2, 3]
+        monkeypatch.setattr(parallel, "shard_rng", recording_shard_rng)
+        run_lookups(_network(), 40, seed=5, shard_size=10)
+        assert calls == [(5, 0), (5, 1), (5, 2), (5, 3)]
 
 
 class TestShardEquivalence:
     def test_matches_sharded_runner_without_faults(self):
-        """Shared-network `run_lookups` == per-shard-rebuild runner.
+        """Shared-network `run_lookups` == the sharded runner.
 
         Without an injector, routing carries no cross-lookup state, so
-        reusing one network must give the same records as rebuilding it
-        per shard (the run_sharded_lookups path).
+        reusing one network must give the same records as routing each
+        shard on its own fresh copy (the run_sharded_lookups path).
         """
         stats = run_lookups(
             build_complete_network("cycloid", 4, seed=42),

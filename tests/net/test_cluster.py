@@ -1,6 +1,7 @@
 """LocalCluster lifecycle: serving, storage, membership, bad frames."""
 
 import asyncio
+import logging
 
 import pytest
 
@@ -44,6 +45,24 @@ class TestLifecycle:
                 await asyncio.open_connection(*address)
 
         run(go())
+
+    def test_stop_with_open_connection_logs_no_asyncio_error(self, caplog):
+        async def go():
+            cluster = await small_cluster().start()
+            address = cluster.services[0].address
+            _, writer = await asyncio.open_connection(*address)
+            try:
+                await cluster.stop()
+            finally:
+                writer.close()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            run(go())
+        assert not [
+            record
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
 
     def test_round_robin_partition_covers_all_nodes(self):
         cluster = small_cluster(servers=5)

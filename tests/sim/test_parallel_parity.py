@@ -6,7 +6,10 @@ keys, retry_budget)`` and ``workers`` only chooses the fan-out.  These
 tests pin that for every registered overlay at two (n, d) scales, and —
 the hard case — with an enabled :class:`~repro.sim.faults.FaultPlan`,
 where per-shard loss streams and lazy route repair would expose any
-cross-shard state leak.
+cross-shard state leak.  The runner builds each cell once and routes
+every shard on a restored copy; :func:`fresh_build_reference` is the
+referee that instead calls ``setup()`` afresh for every shard, and the
+two must agree at every worker count.
 
 ``GOLDEN_DIGESTS`` re-baselines the sharded workload stream once: the
 digests were captured from this implementation and must never drift
@@ -20,9 +23,18 @@ from functools import partial
 import pytest
 
 from repro.dht.metrics import LookupStats
+from repro.dht.routing import TraceObserver
 from repro.experiments.registry import ALL_PROTOCOLS, build_complete_network
 from repro.sim.faults import FaultInjector, FaultPlan
-from repro.sim.parallel import plain_setup, run_sharded_lookups
+from repro.sim.parallel import (
+    DEFAULT_SHARD_SIZE,
+    ShardTask,
+    execute_shard,
+    merge_shards,
+    plain_setup,
+    plan_shards,
+    run_sharded_lookups,
+)
 
 #: Small enough to stay fast, large enough for four non-trivial shards.
 LOOKUPS = 120
@@ -45,6 +57,26 @@ def _fault_setup(protocol: str, dimension: int, plan: FaultPlan):
 
 
 FAULT_PLAN = FaultPlan(seed=SEED + 30, crash_probability=0.3, message_loss=0.05)
+
+
+def fresh_build_reference(
+    setup, count, seed, *, shard_size=DEFAULT_SHARD_SIZE, retry_budget=0
+):
+    """The referee: every shard routes on its own ``setup()`` build.
+
+    Nothing is captured, packed or restored, so a merged run that
+    equals this one shows that restored copies are bit-exact
+    substitutes for a fresh build.
+    """
+    return merge_shards(
+        [
+            execute_shard(
+                ShardTask(spec=spec, seed=seed, retry_budget=retry_budget),
+                prepared=setup(),
+            )
+            for spec in plan_shards(count, shard_size)
+        ]
+    )
 
 
 def _assert_runs_equal(serial, parallel):
@@ -115,15 +147,10 @@ def _assert_same_merged(a, b):
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_snapshot_distribution_matches_rebuild(protocol, workers):
-    """§S21: build-once snapshot distribution is bit-identical to the
-    per-shard rebuild path at every worker count."""
-    rebuild = run_sharded_lookups(
-        _setup(protocol, 4),
-        LOOKUPS,
-        SEED + 4,
-        workers=workers,
-        shard_size=SHARD_SIZE,
-        distribution="rebuild",
+    """§S21: the build-once runner is bit-identical to a fresh build
+    per shard at every worker count."""
+    rebuild = fresh_build_reference(
+        _setup(protocol, 4), LOOKUPS, SEED + 4, shard_size=SHARD_SIZE
     )
     snapshot = run_sharded_lookups(
         _setup(protocol, 4),
@@ -131,7 +158,6 @@ def test_snapshot_distribution_matches_rebuild(protocol, workers):
         SEED + 4,
         workers=workers,
         shard_size=SHARD_SIZE,
-        distribution="snapshot",
     )
     _assert_same_merged(rebuild, snapshot)
 
@@ -145,14 +171,8 @@ def test_snapshot_distribution_matches_rebuild_under_faults(
     the plan seed on every restored copy, so crashes, loss streams and
     lazy repair must replay identically."""
     setup = partial(_fault_setup, protocol, 4, FAULT_PLAN)
-    rebuild = run_sharded_lookups(
-        setup,
-        LOOKUPS,
-        SEED,
-        workers=workers,
-        shard_size=SHARD_SIZE,
-        retry_budget=6,
-        distribution="rebuild",
+    rebuild = fresh_build_reference(
+        setup, LOOKUPS, SEED, shard_size=SHARD_SIZE, retry_budget=6
     )
     snapshot = run_sharded_lookups(
         setup,
@@ -161,10 +181,38 @@ def test_snapshot_distribution_matches_rebuild_under_faults(
         workers=workers,
         shard_size=SHARD_SIZE,
         retry_budget=6,
-        distribution="snapshot",
     )
     _assert_same_merged(rebuild, snapshot)
     assert rebuild.crashed > 0  # the plan actually fired
+
+
+def _counting_setup(calls_path: str):
+    """Fault-free setup that appends one line to ``calls_path`` per call
+    (a file, so calls made in pool workers are counted too)."""
+    with open(calls_path, "a", encoding="utf-8") as handle:
+        handle.write("setup\n")
+    return build_complete_network("cycloid", 4, seed=SEED), None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "observer", [None, TraceObserver()], ids=["no-observer", "observer"]
+)
+def test_setup_runs_once_per_cell(tmp_path, workers, observer):
+    """The build-once contract: a multi-shard cell calls ``setup``
+    exactly once, whatever the fan-out and whether or not an observer
+    forces in-process execution."""
+    calls = tmp_path / "calls.txt"
+    merged = run_sharded_lookups(
+        partial(_counting_setup, str(calls)),
+        LOOKUPS,
+        SEED,
+        workers=workers,
+        shard_size=SHARD_SIZE,
+        observer=observer,
+    )
+    assert merged.shards == 4
+    assert calls.read_text(encoding="utf-8").splitlines() == ["setup"]
 
 
 #: Golden digests of the sharded workload stream (captured once from

@@ -68,7 +68,7 @@ def _real_shard_results():
         plain_setup, build_complete_network, "cycloid", 4, seed=42
     )
     return [
-        execute_shard(ShardTask(setup=setup, spec=spec, seed=7))
+        execute_shard(ShardTask(spec=spec, seed=7), prepared=setup())
         for spec in plan_shards(96, 16)
     ]
 
