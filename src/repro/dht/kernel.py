@@ -10,7 +10,10 @@ CLI flag):
   :class:`~repro.dht.routing.LookupEngine` walking the node object
   graph.  Always available, always exact, and the default.
 * ``columnar`` — this module's vectorized kernel.  A network is
-  *compiled* once per batch into flat numpy int columns — the same
+  *compiled* into flat numpy int columns — once per batch, or once for
+  every fault-free batch routed on the same unchanging network
+  (:func:`compile_kernel`; the sharded runner compiles once per cell
+  per process) — the same
   node universe :func:`~repro.dht.snapshot.pack_network` enumerates
   (every live node plus every dead node still referenced by a stale
   pointer, index-encoded) laid out as per-slot arrays: routing-table
@@ -66,6 +69,7 @@ __all__ = [
     "compiler_for",
     "kernel_from_columns",
     "supports_columnar",
+    "compile_kernel",
     "run_lookup_batch",
     "annotate_latency",
 ]
@@ -142,6 +146,49 @@ def kernel_from_columns(columns, hop_limit: Optional[int] = None):
     )
 
 
+def _columnar_compiler(
+    network: "Network",
+    backend: str,
+    observer: Optional[TraceObserver],
+    injector: Optional["FaultInjector"],
+) -> Optional[Type]:
+    """The kernel class a batch on ``network`` routes with, or ``None``
+    when the module-docstring fallback rules send it to the object
+    engine.  The one place those rules live."""
+    check_backend(backend)
+    if backend != "columnar" or observer is not None:
+        return None
+    if injector is not None and injector.active:
+        return None
+    compiler = _COMPILERS.get(network.protocol_name)
+    if compiler is not None and np is None:  # pragma: no cover - numpy is baked into CI
+        raise RuntimeError(
+            "the columnar backend requires numpy; install it or use "
+            "backend='object'"
+        )
+    return compiler
+
+
+def compile_kernel(
+    network: "Network",
+    *,
+    backend: str = DEFAULT_BACKEND,
+    observer: Optional[TraceObserver] = None,
+    injector: Optional["FaultInjector"] = None,
+):
+    """Compile the kernel that batches on ``network`` would route with,
+    or return ``None`` when the fallback rules pick the object engine.
+
+    Compiling walks the whole node universe, so a caller that routes
+    many fault-free batches on one unchanging network compiles once
+    here and hands the kernel to every :func:`run_lookup_batch`.
+    Fault-free routing changes nothing a kernel reads (only the query
+    counters), which is what makes the reuse exact.
+    """
+    compiler = _columnar_compiler(network, backend, observer, injector)
+    return compiler(network) if compiler is not None else None
+
+
 def run_lookup_batch(
     network: "Network",
     pairs: Iterable[Tuple["Node", object]],
@@ -152,42 +199,42 @@ def run_lookup_batch(
     retry_budget: int = 0,
     hashed: bool = False,
     latency: Optional["LatencyModel"] = None,
+    kernel=None,
 ) -> List[LookupRecord]:
     """Route a batch of lookups through the selected backend.
 
     ``pairs`` holds ``(source, application key)`` tuples, or
     ``(source, key id)`` when ``hashed`` is true.  The columnar backend
     falls back to the object engine per the module-docstring rules;
-    records are bit-identical either way.
+    records are bit-identical either way.  ``kernel`` is an
+    already-compiled kernel of ``network`` (:func:`compile_kernel`); it
+    is used when the rules pick the columnar path and compiled afresh
+    when absent.
 
     A ``latency`` model is applied *after* the columnar walk: the total
     is a pure function of the record's path, so annotating each record
     with the left-to-right sum of per-link delays reproduces the object
     engine's floats bit-exactly (same addition order).
     """
-    check_backend(backend)
+    compiler = _columnar_compiler(network, backend, observer, injector)
     if retry_budget < 0:
         raise ValueError("retry_budget must be >= 0")
     pairs = list(pairs)
-    if backend == "columnar" and pairs:
-        fault_mode = injector is not None and injector.active
-        compiler = _COMPILERS.get(network.protocol_name)
-        if compiler is not None and observer is None and not fault_mode:
-            if np is None:  # pragma: no cover - numpy is baked into CI
-                raise RuntimeError(
-                    "the columnar backend requires numpy; install it or "
-                    "use backend='object'"
-                )
-            sources = [source for source, _ in pairs]
-            if hashed:
-                key_ids = [key for _, key in pairs]
-            else:
-                key_id = network.key_id
-                key_ids = [key_id(key) for _, key in pairs]
-            records = compiler(network).run(sources, key_ids)
-            if latency is not None:
-                annotate_latency(records, latency)
-            return records
+    if compiler is not None and pairs:
+        if kernel is None:
+            kernel = compiler(network)
+        elif kernel.network is not network:
+            raise ValueError("kernel was compiled from a different network")
+        sources = [source for source, _ in pairs]
+        if hashed:
+            key_ids = [key for _, key in pairs]
+        else:
+            key_id = network.key_id
+            key_ids = [key_id(key) for _, key in pairs]
+        records = kernel.run(sources, key_ids)
+        if latency is not None:
+            annotate_latency(records, latency)
+        return records
     engine = LookupEngine(network, observer, injector, retry_budget, latency)
     if hashed:
         return engine.run_batch(pairs)

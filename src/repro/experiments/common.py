@@ -6,7 +6,7 @@ import random
 from typing import Optional, Sequence
 
 from repro.dht.base import Network
-from repro.dht.kernel import DEFAULT_BACKEND, check_backend
+from repro.dht.kernel import DEFAULT_BACKEND, check_backend, compile_kernel
 from repro.dht.metrics import LookupStats
 from repro.dht.routing import TraceObserver
 from repro.sim.faults import FaultInjector
@@ -70,6 +70,11 @@ def run_lookups(
         )
     keys = tuple(keys)
     stats = LookupStats()
+    # Shards route one after another on the same network; without an
+    # active injector it never changes, so one compile serves them all.
+    kernel = compile_kernel(
+        network, backend=backend, observer=observer, injector=injector
+    )
     for spec in plan_shards(count, shard_size):
         task = ShardTask(
             spec=spec,
@@ -79,7 +84,9 @@ def run_lookups(
             backend=backend,
             latency=latency,
         )
-        records, dropped = route_shard(task, network, injector, observer)
+        records, dropped = route_shard(
+            task, network, injector, observer, kernel
+        )
         stats.extend(records)
         if injector is not None:
             injector.dropped += dropped

@@ -11,8 +11,8 @@ This module restructures a cell's workload into **shards**:
   cell always produces the same shards no matter how it is executed.
 * Each shard draws its workload from its own RNG stream, derived from
   ``(seed, shard_index)`` via :func:`repro.util.rng.shard_rng`, routes
-  on a fresh copy of the cell's network (built once from a picklable
-  zero-argument ``setup`` callable), and returns a picklable
+  on the cell's network (built once from a picklable zero-argument
+  ``setup`` callable) or a fresh copy of it, and returns a picklable
   :class:`ShardResult` (records plus query-load / repair / fault
   aggregates).
 * :func:`merge_shards` folds shard results **by shard index**, so the
@@ -31,15 +31,28 @@ pins for every overlay, with and without an enabled
 
 Determinism model (DESIGN.md §S20/§S21)
 ---------------------------------------
-Every shard routes on a **fresh network instance**.  That is what makes
-fault-mode runs order-independent: lazy route repair
-(``Network.on_dead_entry``) mutates routing tables, so two shards
-sharing one network instance would leak state from whichever ran first.
 The cell's prepared network is built from the setup callable **exactly
-once** and captured (§S21); every shard routes on a copy restored in
-O(state) — an immutable :class:`~repro.dht.snapshot.NetworkSnapshot`
-for pool workers, one packed capture unpacked per shard when running
-serially, with the final serial shard consuming the original.  Fault
+once** (§S21).  What a shard routes on then depends on the cell's
+injector:
+
+* **Fault mode** (an *active* :class:`~repro.sim.faults.FaultPlan`):
+  every shard routes on a **fresh network instance**.  Lazy route
+  repair (``Network.on_dead_entry``) mutates routing tables and the
+  loss stream is consumed in lookup order, so two shards sharing one
+  instance would leak state from whichever ran first.  Copies are
+  restored in O(state): one packed capture unpacked per shard when
+  running serially (the final shard consumes the original), a
+  :class:`~repro.dht.snapshot.NetworkSnapshot` restore per shard in
+  pool workers.
+* **Fault-free** (no injector, or an inactive one): routing changes
+  nothing but the query counters, which every shard resets before it
+  routes.  So every shard in a process shares **one** prepared network
+  and **one** compiled kernel (:func:`repro.dht.kernel.compile_kernel`):
+  the serial path routes on the original, and each pool worker
+  restores the snapshot once and compiles once.
+
+Pool workers receive the cell's snapshot once each, through the pool
+initializer; tasks carry only the shard's own parameters.  Fault
 injectors are never serialised: the post-setup injector is a pure
 function of ``(plan, flaky set, crash count)``
 (:class:`~repro.sim.faults.FaultState`) and reattaches bit-exactly.
@@ -73,7 +86,12 @@ from typing import (
     TypeVar,
 )
 
-from repro.dht.kernel import DEFAULT_BACKEND, check_backend
+from repro.dht.kernel import (
+    DEFAULT_BACKEND,
+    check_backend,
+    compile_kernel,
+    run_lookup_batch,
+)
 from repro.dht.metrics import LookupRecord, LookupStats
 from repro.dht.snapshot import NetworkSnapshot, pack_network, unpack_network
 from repro.sim.faults import FaultState
@@ -135,10 +153,12 @@ def _warn_if_oversubscribed(workers: int) -> None:
     """Warn (once per process) when ``workers`` exceeds the usable CPUs.
 
     Oversubscribed pools are pure overhead here — shards are CPU-bound,
-    so extra workers just add pickling and context-switch cost (the
-    committed BENCH_parallel.json shows 0.52-0.90x "speedups" on 1-cpu
-    hosts).  The run stays correct either way (results are
-    worker-count-invariant), hence a warning, not an error.
+    so extra workers just add pool start-up and context-switch cost.
+    Even at workers == CPUs the pool must earn back its start-up and
+    one restore per worker: the committed BENCH_parallel.json (2 CPUs,
+    workers=2, four-shard 2000-lookup cells) ranges 0.37-1.37x.  The
+    run stays correct either way (results are worker-count-invariant),
+    hence a warning, not an error.
     """
     global _oversubscribed_warned
     if _oversubscribed_warned or workers <= 1:
@@ -214,22 +234,19 @@ def plain_setup(builder: Callable[..., "Network"], *args, **kwargs):
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything a worker process needs to execute one shard.
+    """The parameters of one shard, apart from the network it routes on.
 
-    Pool tasks carry the cell's ``snapshot`` (``faults`` reattaches the
-    injector from the plan seed); the in-process path leaves both unset
-    and hands :func:`execute_shard` its network as ``prepared``.  A
-    cell's snapshot bytes are captured once and shared by reference
-    across all of its tasks, so the pool pickles them once per worker,
-    not once per shard.
+    The network never rides in a task: the in-process path hands
+    :func:`execute_shard` its network as ``prepared``, and a pool
+    worker receives the cell's snapshot and fault state once, through
+    the pool initializer.  A pickled task is therefore a few hundred
+    bytes at any population.
     """
 
     spec: ShardSpec
     seed: int
     keys: Tuple[object, ...] = ()
     retry_budget: int = 0
-    snapshot: Optional[NetworkSnapshot] = None
-    faults: Optional[FaultState] = None
     backend: str = DEFAULT_BACKEND
     #: optional link delay model; frozen and picklable, so it ships to
     #: pool workers as-is, and ``for_shard`` keeps every shard on the
@@ -274,6 +291,7 @@ def route_shard(
     network: "Network",
     injector: Optional["FaultInjector"] = None,
     observer: Optional["TraceObserver"] = None,
+    kernel=None,
 ) -> Tuple[List[LookupRecord], int]:
     """Route one shard's workload on ``network``; the one shard body.
 
@@ -281,7 +299,9 @@ def route_shard(
     ``shard_rng(task.seed, spec.index)`` starting at global index
     ``spec.offset`` and routes them with the injector's and latency
     model's per-shard streams.  Returns the records and the number of
-    messages the shard's injector dropped.  :func:`execute_shard` and
+    messages the shard's injector dropped.  ``kernel`` is ``network``'s
+    compiled kernel when the caller shares one across shards
+    (:func:`repro.dht.kernel.compile_kernel`).  :func:`execute_shard` and
     :func:`repro.experiments.common.run_lookups` both route through
     here, so a shard is the same computation on either path.
     """
@@ -289,7 +309,8 @@ def route_shard(
     shard_injector = (
         injector.for_shard(spec.index) if injector is not None else None
     )
-    records = network.lookup_many(
+    records = run_lookup_batch(
+        network,
         lookup_workload(
             network,
             spec.count,
@@ -306,6 +327,7 @@ def route_shard(
             if task.latency is not None
             else None
         ),
+        kernel=kernel,
     )
     dropped = shard_injector.dropped if shard_injector is not None else 0
     return records, dropped
@@ -313,35 +335,24 @@ def route_shard(
 
 def execute_shard(
     task: ShardTask,
+    prepared: Tuple["Network", Optional["FaultInjector"]],
     observer: Optional["TraceObserver"] = None,
-    prepared: Optional[
-        Tuple["Network", Optional["FaultInjector"]]
-    ] = None,
+    kernel=None,
 ) -> ShardResult:
-    """Run one shard on a fresh network and aggregate its outcome.
+    """Run one shard on ``prepared = (network, injector)`` and aggregate
+    its outcome.
 
-    This is the single execution path for every worker count — the
-    serial path calls it in-process with ``prepared`` (a fresh copy of
-    the cell's network and its injector), the parallel path ships the
-    (picklable) task to a pool worker, which restores the task's
-    ``snapshot`` and reattaches the injector from ``task.faults``.
+    This is the single execution path for every worker count.  A
+    fault-mode shard needs a network of its own (a fresh copy); the
+    fault-free shards of a cell may all pass the same network and the
+    same compiled ``kernel``, because fault-free routing changes only
+    the query counters and those are reset here before routing.
     ``observer`` only exists on the in-process path; it never affects
     routing.
     """
-    if prepared is not None:
-        network, injector = prepared
-    elif task.snapshot is not None:
-        network = task.snapshot.restore()
-        injector = (
-            task.faults.rebuild() if task.faults is not None else None
-        )
-    else:
-        raise ValueError(
-            "a shard task without a snapshot needs prepared=(network, "
-            "injector)"
-        )
+    network, injector = prepared
     network.reset_query_counts()
-    records, dropped = route_shard(task, network, injector, observer)
+    records, dropped = route_shard(task, network, injector, observer, kernel)
     live = network.live_nodes()
     return ShardResult(
         index=task.spec.index,
@@ -355,6 +366,46 @@ def execute_shard(
         crashed=injector.crashed if injector is not None else 0,
         population=len(live),
     )
+
+
+def _fault_free(injector: Optional["FaultInjector"]) -> bool:
+    """Whether routing leaves the network as it found it (query
+    counters aside), so that shards may share it."""
+    return injector is None or not injector.active
+
+
+#: The cell a pool worker serves: ``(snapshot, faults)`` from
+#: :func:`_enter_cell`, then — for a fault-free cell — the one
+#: ``(network, injector, kernel)`` every shard of this worker shares.
+_worker_cell: Optional[Tuple[NetworkSnapshot, Optional[FaultState]]] = None
+_worker_shared: Optional[tuple] = None
+
+
+def _enter_cell(
+    snapshot: NetworkSnapshot, faults: Optional[FaultState]
+) -> None:
+    """Pool initializer: each worker receives the cell once."""
+    global _worker_cell, _worker_shared
+    _worker_cell = (snapshot, faults)
+    _worker_shared = None
+
+
+def _execute_in_worker(task: ShardTask) -> ShardResult:
+    """Pool task: restore per shard in fault mode, once per worker
+    (and compile once) for a fault-free cell."""
+    global _worker_shared
+    if _worker_shared is None:
+        snapshot, faults = _worker_cell
+        network = snapshot.restore()
+        injector = faults.rebuild() if faults is not None else None
+        if not _fault_free(injector):
+            return execute_shard(task, (network, injector))
+        kernel = compile_kernel(
+            network, backend=task.backend, injector=injector
+        )
+        _worker_shared = (network, injector, kernel)
+    network, injector, kernel = _worker_shared
+    return execute_shard(task, (network, injector), kernel=kernel)
 
 
 def merge_shards(results: Sequence[ShardResult]) -> MergedRun:
@@ -418,11 +469,12 @@ def run_sharded_lookups(
     keys, retry_budget, latency)`` — ``workers`` only chooses the
     fan-out, and ``backend`` only chooses each shard's lookup execution
     strategy (``"object"`` or the bit-identical ``"columnar"`` kernel,
-    DESIGN §S23).  ``setup`` runs exactly once per non-empty cell and
-    every shard routes on a restored copy of its network (module
-    docstring).  ``workers=1`` (or a non-picklable ``observer``, or a
-    single-shard plan) runs every shard in-process through the identical
-    shard/merge path.  An attached :class:`~repro.sim.latency.LatencyModel`
+    DESIGN §S23).  ``setup`` runs exactly once per non-empty cell;
+    fault-mode shards route on restored copies of its network, while
+    fault-free shards share it and its compiled kernel, once per
+    process (module docstring).  ``workers=1`` (or a non-picklable
+    ``observer``, or a single-shard plan) runs every shard in-process
+    through the identical shard/merge path.  An attached :class:`~repro.sim.latency.LatencyModel`
     is a pure function of its seed, so records carry identical modeled
     milliseconds at every worker count (DESIGN §S25).
     """
@@ -435,10 +487,6 @@ def run_sharded_lookups(
         return merge_shards([])
     network, injector = setup()
     serial = workers == 1 or observer is not None or len(specs) <= 1
-    snapshot = faults = None
-    if not serial:
-        snapshot = network.snapshot()
-        faults = FaultState.capture(injector) if injector is not None else None
     keys = tuple(keys)
     tasks = [
         ShardTask(
@@ -446,26 +494,42 @@ def run_sharded_lookups(
             seed=seed,
             keys=keys,
             retry_budget=retry_budget,
-            snapshot=snapshot,
-            faults=faults,
             backend=backend,
             latency=latency,
         )
         for spec in specs
     ]
     if serial:
-        # Shards before the last route on copies unpacked from one packed
-        # capture of the still-pristine original (only copies are
-        # mutated); the final shard consumes the original itself, so a
-        # single-shard plan packs nothing at all.
-        packed = pack_network(network) if len(tasks) > 1 else None
+        # Fault-free shards share the original and one kernel.  In fault
+        # mode the shards before the last route on copies unpacked from
+        # one packed capture of the still-pristine original (only copies
+        # are mutated); the final shard consumes the original itself, so
+        # a single-shard plan packs nothing at all.
+        shared = _fault_free(injector)
+        kernel = compile_kernel(
+            network, backend=backend, observer=observer, injector=injector
+        )
+        packed = (
+            pack_network(network) if not shared and len(tasks) > 1 else None
+        )
         results = []
         for task in tasks:
-            copy = network if task is tasks[-1] else unpack_network(packed)
-            results.append(execute_shard(task, observer, (copy, injector)))
+            copy = (
+                network
+                if shared or task is tasks[-1]
+                else unpack_network(packed)
+            )
+            results.append(
+                execute_shard(task, (copy, injector), observer, kernel)
+            )
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(execute_shard, tasks))
+        faults = FaultState.capture(injector) if injector is not None else None
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(tasks)),
+            initializer=_enter_cell,
+            initargs=(network.snapshot(), faults),
+        ) as pool:
+            results = list(pool.map(_execute_in_worker, tasks))
     return merge_shards(results)
 
 

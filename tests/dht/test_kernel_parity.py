@@ -26,6 +26,7 @@ from repro.dht.kernel import (
     DEFAULT_BACKEND,
     check_backend,
     columnar_protocols,
+    compile_kernel,
     run_lookup_batch,
     supports_columnar,
 )
@@ -265,6 +266,35 @@ class TestBackendErrors:
         network = build_complete_network("cycloid", 3, seed=SEED)
         with pytest.raises(ValueError, match="expected one of"):
             run_lookup_batch(network, [], backend="bogus")
+
+    def test_run_lookup_batch_rejects_another_networks_kernel(self):
+        network = build_complete_network("cycloid", 3, seed=SEED)
+        other = build_complete_network("cycloid", 3, seed=SEED)
+        pairs = list(lookup_workload(network, 2, make_rng(1)))
+        kernel = compile_kernel(other, backend="columnar")
+        with pytest.raises(ValueError, match="different network"):
+            run_lookup_batch(network, pairs, backend="columnar", kernel=kernel)
+
+    def test_compile_kernel_follows_the_fallback_rules(self):
+        network = build_complete_network("cycloid", 3, seed=SEED)
+        assert compile_kernel(network, backend="columnar") is not None
+        assert compile_kernel(network, backend="object") is None
+        assert (
+            compile_kernel(
+                network, backend="columnar", observer=RecordingTracer()
+            )
+            is None
+        )
+        assert (
+            compile_kernel(
+                network,
+                backend="columnar",
+                injector=FaultInjector(FAULT_PLAN),
+            )
+            is None
+        )
+        koorde = build_complete_network("koorde", 3, seed=SEED)
+        assert compile_kernel(koorde, backend="columnar") is None
 
     def test_run_lookups_rejects_unknown_backend(self):
         network = build_complete_network("cycloid", 3, seed=SEED)

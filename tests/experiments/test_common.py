@@ -48,8 +48,9 @@ class TestShardEquivalence:
         """Shared-network `run_lookups` == the sharded runner.
 
         Without an injector, routing carries no cross-lookup state, so
-        reusing one network must give the same records as routing each
-        shard on its own fresh copy (the run_sharded_lookups path).
+        routing the shards in turn on the one given network must give
+        the records of the sharded runner, whose shards the
+        fresh-build referee pins to a fresh network each.
         """
         stats = run_lookups(
             build_complete_network("cycloid", 4, seed=42),

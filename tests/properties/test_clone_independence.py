@@ -5,8 +5,9 @@ Hypothesis drives a random membership-operation sequence against a
 lookup digest, byte-identical packed form.  Mutating the original
 instead and re-checking a pre-taken snapshot pins the other direction.
 This is the §S21 safety property — the parallel engine hands every
-shard a restored copy and relies on restores never sharing mutable
-state with the prepared network or with each other.
+fault-mode shard (and every pool worker) a restored copy and relies on
+restores never sharing mutable state with the prepared network or with
+each other.
 """
 
 import pickle

@@ -6,8 +6,9 @@ keys, retry_budget)`` and ``workers`` only chooses the fan-out.  These
 tests pin that for every registered overlay at two (n, d) scales, and —
 the hard case — with an enabled :class:`~repro.sim.faults.FaultPlan`,
 where per-shard loss streams and lazy route repair would expose any
-cross-shard state leak.  The runner builds each cell once and routes
-every shard on a restored copy; :func:`fresh_build_reference` is the
+cross-shard state leak.  The runner builds each cell once; fault-mode
+shards route on restored copies, fault-free shards share the one
+network and its compiled kernel.  :func:`fresh_build_reference` is the
 referee that instead calls ``setup()`` afresh for every shard, and the
 two must agree at every worker count.
 
@@ -18,14 +19,24 @@ again, whatever the worker count.
 
 from __future__ import annotations
 
+import pickle
 from functools import partial
 
 import pytest
 
+from repro.dht.kernel import BACKENDS, ChordKernel, CycloidKernel
 from repro.dht.metrics import LookupStats
 from repro.dht.routing import TraceObserver
-from repro.experiments.registry import ALL_PROTOCOLS, build_complete_network
+from repro.dht.snapshot import pack_network
+from repro.experiments.failures import departed_setup
+from repro.experiments.registry import (
+    ALL_PROTOCOLS,
+    PROTOCOLS,
+    build_complete_network,
+)
+from repro.sim import parallel
 from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.latency import LatencyModel
 from repro.sim.parallel import (
     DEFAULT_SHARD_SIZE,
     ShardTask,
@@ -213,6 +224,178 @@ def test_setup_runs_once_per_cell(tmp_path, workers, observer):
     )
     assert merged.shards == 4
     assert calls.read_text(encoding="utf-8").splitlines() == ["setup"]
+
+
+def _counting_kernels(monkeypatch, calls_path: str) -> None:
+    """Make every kernel compile append one line to ``calls_path`` (a
+    file, so compiles in forked pool workers are counted too)."""
+    for cls in (CycloidKernel, ChordKernel):
+
+        def counted(self, network, _compile=cls.__init__):
+            with open(calls_path, "a", encoding="utf-8") as handle:
+                handle.write(type(self).__name__ + "\n")
+            _compile(self, network)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("protocol", ["cycloid", "chord"])
+def test_fault_free_cell_compiles_once_per_process(
+    tmp_path, monkeypatch, protocol, workers
+):
+    """A fault-free multi-shard cell compiles one kernel in-process and
+    at most one per pool worker, and still matches the referee."""
+    calls = tmp_path / "compiles.txt"
+    calls.touch()
+    _counting_kernels(monkeypatch, str(calls))
+    merged = run_sharded_lookups(
+        _setup(protocol, 4),
+        LOOKUPS,
+        SEED + 4,
+        workers=workers,
+        shard_size=SHARD_SIZE,
+        backend="columnar",
+    )
+    compiles = calls.read_text(encoding="utf-8").splitlines()
+    assert merged.shards == 4
+    if workers == 1:
+        assert len(compiles) == 1
+    else:
+        assert len(compiles) <= workers
+    reference = fresh_build_reference(
+        _setup(protocol, 4), LOOKUPS, SEED + 4, shard_size=SHARD_SIZE
+    )
+    _assert_same_merged(reference, merged)
+
+
+def _packed_bytes(network) -> bytes:
+    """The network's packed routing state.  Query counters are
+    per-shard tallies that every shard resets, so they are zeroed
+    first."""
+    network.reset_query_counts()
+    return pickle.dumps(pack_network(network), pickle.HIGHEST_PROTOCOL)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("scenario", ["built", "departed", "latency"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_fault_free_cell_leaves_network_unchanged(protocol, scenario, backend):
+    """The premise of sharing: a fault-free multi-shard cell leaves the
+    packed network byte-identical, with stale pointers to departed
+    nodes and with a latency model attached."""
+    if scenario == "departed":
+        network, _ = departed_setup(protocol, 4, SEED, 0.3, SEED + 30)
+    else:
+        network = build_complete_network(protocol, 4, seed=SEED)
+    latency = LatencyModel(seed=SEED) if scenario == "latency" else None
+    before = _packed_bytes(network)
+    merged = run_sharded_lookups(
+        lambda: (network, None),
+        LOOKUPS,
+        SEED,
+        shard_size=SHARD_SIZE,
+        backend=backend,
+        latency=latency,
+    )
+    assert merged.shards == 4
+    assert _packed_bytes(network) == before
+
+
+def _counting_seams(monkeypatch) -> dict:
+    counts = {"pack": 0, "unpack": 0}
+    for name, attr in (("pack", "pack_network"), ("unpack", "unpack_network")):
+
+        def counted(value, _name=name, _seam=getattr(parallel, attr)):
+            counts[_name] += 1
+            return _seam(value)
+
+        monkeypatch.setattr(parallel, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("protocol", ["cycloid", "chord", "koorde"])
+def test_fault_mode_shards_route_on_fresh_copies(monkeypatch, protocol):
+    """An active FaultPlan mutates the network, so the serial path
+    still packs once and restores one copy per shard but the last; a
+    fault-free cell packs and unpacks nothing."""
+    counts = _counting_seams(monkeypatch)
+    merged = run_sharded_lookups(
+        partial(_fault_setup, protocol, 4, FAULT_PLAN),
+        LOOKUPS,
+        SEED,
+        shard_size=SHARD_SIZE,
+        retry_budget=6,
+        backend="columnar",
+    )
+    assert merged.crashed > 0
+    assert counts == {"pack": 1, "unpack": merged.shards - 1}
+    counts.update(pack=0, unpack=0)
+    run_sharded_lookups(
+        _setup(protocol, 4), LOOKUPS, SEED, shard_size=SHARD_SIZE
+    )
+    assert counts == {"pack": 0, "unpack": 0}
+
+
+class _InlinePool:
+    """``ProcessPoolExecutor`` stand-in: runs the initializer and the
+    tasks in this process and records each task's pickled size."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
+        self.sizes = sizes
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, tasks):
+        self.sizes.extend(
+            len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL)) for task in tasks
+        )
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["fault-free", "faults"])
+@pytest.mark.parametrize("protocol", ["cycloid", "chord"])
+def test_pool_task_size_does_not_grow_with_population(
+    monkeypatch, protocol, faulty
+):
+    """The cell's network reaches a pool worker through the initializer;
+    a task carries only its shard, so its pickle is the same size at
+    n=64 and n=2048."""
+    monkeypatch.setattr(parallel, "_worker_cell", None)
+    monkeypatch.setattr(parallel, "_worker_shared", None)
+    sizes = {}
+    for dimension in (4, 8):
+        sizes[dimension] = []
+        monkeypatch.setattr(
+            parallel,
+            "ProcessPoolExecutor",
+            partial(_InlinePool, sizes[dimension]),
+        )
+        setup = (
+            partial(_fault_setup, protocol, dimension, FAULT_PLAN)
+            if faulty
+            else _setup(protocol, dimension)
+        )
+        merged = run_sharded_lookups(
+            setup,
+            LOOKUPS,
+            SEED,
+            workers=2,
+            shard_size=SHARD_SIZE,
+            retry_budget=6 if faulty else 0,
+            backend="columnar",
+        )
+        assert merged.shards == 4
+        assert merged.population + merged.crashed == dimension << dimension
+        assert (merged.crashed > 0) == faulty
+    assert len(sizes[4]) == 4
+    assert sizes[4] == sizes[8]
+    assert max(sizes[8]) < 1024
 
 
 #: Golden digests of the sharded workload stream (captured once from
