@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Tuple
 
-from repro.util.bitops import circular_distance, clockwise_distance
+from repro.util.bitops import clockwise_distance
 
 __all__ = ["CycloidId", "RingId", "cycloid_space_size"]
 
@@ -153,15 +153,26 @@ class CycloidId:
         successor will be responsible" — and finally the clockwise linear
         distance, which makes the order strict (no two distinct ids
         compare equal, so every key has a unique owner).
+
+        Plain inline arithmetic: this is the innermost call of every
+        owner scan and greedy step on the object engine.
         """
-        self._check_compatible(other)
-        cube_mod = 1 << self.dimension
-        cube_dist = circular_distance(self.cubical, other.cubical, cube_mod)
-        cyc_dist = circular_distance(self.cyclic, other.cyclic, self.dimension)
-        space = cycloid_space_size(self.dimension)
-        cw = clockwise_distance(self.linear, other.linear, space)
-        succ_bias = 0 if cw <= space // 2 else 1
-        return (cube_dist, cyc_dist, succ_bias, cw)
+        d = self.dimension
+        if d != other.dimension:
+            raise ValueError("cycloid ids from different dimensions")
+        cube_mod = 1 << d
+        cube = (self.cubical - other.cubical) % cube_mod
+        if cube_mod - cube < cube:
+            cube = cube_mod - cube
+        cyc = (self.cyclic - other.cyclic) % d
+        if d - cyc < cyc:
+            cyc = d - cyc
+        space = d * cube_mod
+        # Clockwise from self.linear to other.linear on the linear space.
+        cw = (
+            (other.cubical - self.cubical) * d + other.cyclic - self.cyclic
+        ) % space
+        return (cube, cyc, 0 if cw <= space >> 1 else 1, cw)
 
     def closer_of(self, a: "CycloidId", b: "CycloidId") -> "CycloidId":
         """The closer of ``a`` and ``b`` to self under :meth:`distance_to`."""

@@ -18,6 +18,7 @@ implementations hand off state:
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Optional, Tuple
 
 from repro.dht.base import Network, Node
@@ -51,22 +52,64 @@ def replica_set(network: Network, key: object, replicas: int) -> List[Node]:
     One definition shared by the in-memory :class:`KeyValueStore` and
     the live serving path (:mod:`repro.net.server`), so a wire replica
     push lands on exactly the nodes the in-memory store would choose.
-    The owner is always a member; ties are broken by the overlay's own
-    closeness metric over its live population.
+    The owner is always a member; the rest are the live nodes that rank
+    first under :func:`closeness`, the overlay's own metric.
+
+    Only the key's neighbourhood is ranked (:func:`_neighbourhood`), and
+    it always holds the ``replicas`` closest live nodes, so the list is
+    the one a ranking of the whole live population gives.  Cost: O(r·d)
+    for Cycloid, O(log n + r) for the ring overlays, plus the owner
+    lookup; CAN, which has neither structure, raises ``TypeError`` for
+    ``replicas > 1``.
     """
     key_id = network.key_id(key)
     owner = network.owner_of_id(key_id)
     if replicas == 1:
         return [owner]
-    ranked: List[Tuple[object, Node]] = [
-        (closeness(network, key_id, node), node)
-        for node in network.live_nodes()
-    ]
-    ranked.sort(key=lambda item: item[0])
-    chosen = [node for _, node in ranked[:replicas]]
+    chosen = sorted(
+        _neighbourhood(network, key_id, replicas),
+        key=lambda node: closeness(network, key_id, node),
+    )[:replicas]
     if owner not in chosen:
         chosen[-1] = owner
     return chosen
+
+
+def _neighbourhood(
+    network: Network, key_id: object, replicas: int
+) -> List[Node]:
+    """Live nodes that include the ``replicas`` closest to ``key_id``.
+
+    * Cycloid: the key's own cycle plus the ``replicas`` nearest
+      non-empty cycles on each side.  A node outside them lies on the
+      side where its cube distance is measured, behind ``replicas``
+      non-empty cycles whose nodes are all strictly closer in cube
+      distance — so it cannot rank in the top ``replicas``.
+    * Ring overlays: the ``replicas`` live ids at or clockwise after
+      ``key_id``, which are exactly the smallest clockwise distances.
+    """
+    topology = getattr(network, "topology", None)
+    if topology is not None:
+        cubical = key_id.cubical  # type: ignore[attr-defined]
+        cycles = dict.fromkeys(
+            [cubical]
+            + topology.succeeding_cycles(cubical, replicas)
+            + topology.preceding_cycles(cubical, replicas)
+        )
+        return [
+            topology.get(cyclic, cycle)
+            for cycle in cycles
+            for cyclic in topology.cycle_members(cycle)
+        ]
+    ring = getattr(network, "ring", None)
+    if ring is None:
+        raise TypeError(f"unsupported network {type(network).__name__}")
+    ids = ring.ids()
+    start = bisect.bisect_left(ids, key_id % ring.modulus)  # type: ignore
+    run = ids[start : start + replicas]
+    if len(run) < replicas:
+        run = run + ids[: min(replicas - len(run), start)]
+    return [ring.get(node_id) for node_id in run]
 
 
 class StorageShard:
@@ -75,10 +118,9 @@ class StorageShard:
     A :class:`~repro.net.server.NodeService` keeps one shard holding
     the pairs whose owning virtual nodes it hosts; PUT/GET frames route
     to the owner over the wire and land here.  This is the wire-level
-    counterpart of :class:`KeyValueStore`'s per-node shelves — the live
-    path stores on the owner only (``replicas = 1`` semantics), while
-    replication and migration stay an in-memory concern of
-    :class:`KeyValueStore`.
+    counterpart of :class:`KeyValueStore`'s per-node shelves; a
+    replicated PUT lands on every hosted member of the key's
+    :func:`replica_set`.
     """
 
     __slots__ = ("_shelves",)
@@ -288,7 +330,3 @@ class KeyValueStore:
     def _replica_set(self, key: object) -> List[Node]:
         """The key's owner plus its ``replicas - 1`` closest live peers."""
         return replica_set(self.network, key, self.replicas)
-
-    def _closeness(self, key_id: object, node: Node) -> object:
-        """Distance of ``node`` to ``key_id`` in the overlay's own metric."""
-        return closeness(self.network, key_id, node)

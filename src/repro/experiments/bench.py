@@ -17,6 +17,7 @@ digests still match.
 from __future__ import annotations
 
 import json
+import platform
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -46,6 +47,7 @@ __all__ = [
     "bench_report",
     "write_bench_report",
     "compare_to_baseline",
+    "host_facts",
     "validate_net_report",
     "DEFAULT_BENCH_PROTOCOLS",
     "KERNEL_BENCH_PROTOCOLS",
@@ -357,6 +359,22 @@ def run_kernel_bench(
     return cells
 
 
+def host_facts() -> Dict[str, str]:
+    """The interpreter, numpy and OS a throughput figure was measured
+    under; with ``cpus`` these decide whether two reports compare."""
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:  # pragma: no cover - numpy is baked into CI
+        numpy_version = "absent"
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "platform": platform.platform(),
+    }
+
+
 def bench_report(
     cells: Sequence[BenchCell],
     dimension: int,
@@ -381,6 +399,7 @@ def bench_report(
             "shard_size": shard_size,
             "seed": seed,
             "cpus": available_workers(),
+            "host": host_facts(),
         },
         "cells": [cell.as_dict() for cell in cells],
         "build_vs_clone": [cell.as_dict() for cell in clone_cells],
@@ -402,11 +421,16 @@ def compare_to_baseline(
     (the previously committed ``BENCH_parallel.json``), so the bench
     surfaces drift instead of silently overwriting the file.  A cell
     whose columnar lookups/sec fell more than ``threshold`` below the
-    baseline gets a ``warning:`` prefix.
+    baseline gets a ``warning:`` prefix — but only when both reports
+    carry the same host facts (``cpus`` and the ``host`` block).  A
+    baseline from another host, or one without host facts, is marked
+    ``not comparable (host differs: ...)`` instead: a ratio across
+    hosts measures the hosts, not the code.
     """
     lines: List[str] = []
     if not isinstance(baseline, dict):
         return lines
+    host_diff = _host_difference(report, baseline)
     committed = {
         cell.get("protocol"): cell
         for cell in baseline.get("kernel", ())
@@ -425,13 +449,36 @@ def compare_to_baseline(
             f"kernel {cell['protocol']}: columnar {new_rate:,.0f} "
             f"lookups/s vs committed {old_rate:,.0f} ({ratio:.2f}x)"
         )
-        if ratio < 1.0 - threshold:
+        if host_diff:
+            line = f"not comparable (host differs: {host_diff}): {line}"
+        elif ratio < 1.0 - threshold:
             line = (
                 f"warning: {line} — regression exceeds "
                 f"{threshold:.0%} of the committed baseline"
             )
         lines.append(line)
     return lines
+
+
+def _host_difference(report: Dict[str, object], baseline: Dict) -> str:
+    """The host facts on which ``baseline`` differs from ``report``
+    (``""`` when they all agree); a missing fact counts as different."""
+
+    def facts(document: Dict) -> Dict[str, object]:
+        config = document.get("config") or {}
+        host = config.get("host") or {}
+        names = ("python", "numpy", "platform")
+        return {
+            "cpus": config.get("cpus"),
+            **{name: host.get(name) for name in names},
+        }
+
+    ours, theirs = facts(report), facts(baseline)
+    return ", ".join(
+        f"{name} {theirs[name] or 'missing'} vs {ours[name]}"
+        for name in ours
+        if ours[name] != theirs[name]
+    )
 
 
 def write_bench_report(path: str, report: Dict[str, object]) -> None:

@@ -31,7 +31,11 @@ from repro.dht.kernel import (
     supports_columnar,
 )
 from repro.dht.routing import RecordingTracer
-from repro.experiments.bench import compare_to_baseline, run_kernel_bench
+from repro.experiments.bench import (
+    compare_to_baseline,
+    host_facts,
+    run_kernel_bench,
+)
 from repro.experiments.common import run_lookups
 from repro.experiments.registry import ALL_PROTOCOLS, build_complete_network
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -350,16 +354,20 @@ class TestKernelBench:
         ):
             assert key in payload
 
+    HOST = {"cpus": 2, "host": host_facts()}
+
     def test_compare_to_baseline_warns_on_regression(self):
         baseline = {
+            "config": dict(self.HOST),
             "kernel": [
                 {"protocol": "cycloid", "columnar_lookups_per_s": 1000.0}
-            ]
+            ],
         }
         slow = {
+            "config": dict(self.HOST),
             "kernel": [
                 {"protocol": "cycloid", "columnar_lookups_per_s": 700.0}
-            ]
+            ],
         }
         (line,) = compare_to_baseline(slow, baseline)
         assert line.startswith("warning:")
@@ -367,18 +375,47 @@ class TestKernelBench:
 
     def test_compare_to_baseline_accepts_small_drift(self):
         baseline = {
+            "config": dict(self.HOST),
             "kernel": [
                 {"protocol": "cycloid", "columnar_lookups_per_s": 1000.0}
-            ]
+            ],
         }
         steady = {
+            "config": dict(self.HOST),
             "kernel": [
                 {"protocol": "cycloid", "columnar_lookups_per_s": 950.0}
-            ]
+            ],
         }
         (line,) = compare_to_baseline(steady, baseline)
         assert not line.startswith("warning:")
         assert "0.95x" in line
+
+    def test_compare_to_baseline_refuses_another_host(self):
+        """A baseline with other (or no) host facts is not comparable:
+        even a 0.70x ratio is reported, never warned about."""
+        slow = {
+            "config": dict(self.HOST),
+            "kernel": [
+                {"protocol": "cycloid", "columnar_lookups_per_s": 700.0}
+            ],
+        }
+        other_python = dict(self.HOST["host"], python="2.7.18")
+        for config, named in (
+            ({"cpus": 1, "host": self.HOST["host"]}, "cpus 1 vs 2"),
+            ({"cpus": 2, "host": other_python}, "python 2.7.18 vs"),
+            ({"cpus": 2}, "python missing vs"),
+        ):
+            baseline = {
+                "config": config,
+                "kernel": [
+                    {"protocol": "cycloid", "columnar_lookups_per_s": 1000.0}
+                ],
+            }
+            (line,) = compare_to_baseline(slow, baseline)
+            assert line.startswith("not comparable (host differs: ")
+            assert named in line
+            assert "warning" not in line
+            assert "0.70x" in line
 
     def test_compare_to_baseline_without_baseline(self):
         report = {
