@@ -54,13 +54,21 @@ def format_bench_table(
 
     Each cell mapping carries ``protocol``, ``serial_seconds``,
     ``parallel_seconds``, ``speedup`` and ``digest_match`` — the same
-    records the bench writes to ``BENCH_parallel.json``.
+    records the bench writes to ``BENCH_parallel.json`` — and, when
+    timed over repeats, each side's ``*_spread_seconds`` (max - min),
+    shown as ``+spread`` beside the best time.
     """
+
+    def timed(cell, side: str) -> str:
+        text = f"{cell[side + '_seconds']:.2f}s"
+        spread = cell.get(side + "_spread_seconds")
+        return text if spread is None else f"{text} +{spread:.2f}"
+
     rows = [
         [
             cell["protocol"],
-            f"{cell['serial_seconds']:.2f}s",
-            f"{cell['parallel_seconds']:.2f}s",
+            timed(cell, "serial"),
+            timed(cell, "parallel"),
             f"{cell['speedup']:.2f}x",
             "yes" if cell["digest_match"] else "NO",
         ]

@@ -32,10 +32,16 @@ The acceptance bar is bit-exactness: identical
 :class:`~repro.dht.metrics.LookupStats` digests, per-lookup records,
 and query-load counters, pinned by the kernel parity suite.
 
+Viceroy's links are a pure function of the live membership, so its
+kernel has no dead nodes, no candidate matrices and no timeouts: each
+link is one index column, and each row carries the butterfly's
+ascend → descend → traverse stage from wave to wave.
+
 **Fallback rules** (documented, deliberate): the columnar path runs
-only for protocols with a registered compiler (Cycloid — both leaf
-radii — and Chord), only without a per-hop trace observer, and only
-when no *active* fault injector is attached.  Fault-mode batches are
+only for protocols with a registered compiler — Cycloid (both leaf
+radii), Chord and Viceroy; Koorde, Pastry and CAN take the object
+engine — only without a per-hop trace observer, and only when no
+*active* fault injector is attached.  Fault-mode batches are
 inherently sequential — probe verdicts consume the injector's loss RNG
 in lookup order and ``on_dead_entry`` repairs mutate routing state that
 later lookups in the same shard must see — so they take the object
@@ -46,6 +52,7 @@ safe to request.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.dht.metrics import LookupRecord
@@ -309,6 +316,15 @@ def _msdb(a, b):
     return np.frexp(diff.astype(np.float64))[1].astype(np.int64) - 1
 
 
+def _in_interval(x, left, right, modulus):
+    """Vectorized ``(left, right]`` clockwise membership on a
+    ``modulus`` ring (:func:`repro.dht.ring.in_interval`); a degenerate
+    interval covers the whole ring."""
+    dx = (x - left) % modulus
+    dr = (right - left) % modulus
+    return (left == right) | ((0 < dx) & (dx <= dr))
+
+
 def _first_true(mask):
     """Per-row index of the first True column; ``width`` when none."""
     width = mask.shape[1]
@@ -378,34 +394,38 @@ class _KernelBase:
     #: phase code -> phase label, set by subclasses in template order.
     PHASES: Tuple[str, ...] = ()
 
-    def _flush_query_counts(self, hop_targets, names, network) -> None:
-        """Replicate ``Network._record_visit`` for every counted hop
-        target (intermediate and final, never the source)."""
-        if hop_targets.size == 0:
-            return
-        counts = np.bincount(hop_targets)
-        query_counts = network._query_counts
-        for node_index in np.flatnonzero(counts):
+    @cached_property
+    def _name_array(self):
+        """``names`` as a 1-D object array, for one-gather name lookups
+        (built on first use: array-mode kernels never need it)."""
+        return np.fromiter(self.names, dtype=object, count=len(self.names))
+
+    def _finish(
+        self, sources, key_ids, hops, timeouts, success, phase_counts,
+        final_idx, hop_log,
+    ) -> List[LookupRecord]:
+        """Charge a finished batch's hops to the network's query counters
+        and materialise its records.
+
+        Every hop target — intermediate and final, never the source —
+        counts once, as ``Network._record_visit`` would.  ``hop_log`` is
+        chronological, so a stable sort of its entries by row lists each
+        row's targets in path order; row ``b`` owns ``hops[b]`` of them.
+        """
+        names = self.names
+        if hop_log:
+            rows = np.concatenate([rows for rows, _ in hop_log])
+            targets = np.concatenate([targets for _, targets in hop_log])
+        else:
+            rows = targets = np.empty(0, dtype=np.int64)
+        counts = np.bincount(targets)
+        query_counts = self.network._query_counts
+        for node_index in np.flatnonzero(counts).tolist():
             query_counts[names[node_index]] += int(counts[node_index])
 
-    def _build_records(
-        self,
-        sources,
-        key_ids,
-        hops,
-        timeouts,
-        success,
-        phase_counts,
-        final_idx,
-        hop_log,
-        names,
-    ) -> List[LookupRecord]:
-        batch = len(sources)
-        paths: List[List[object]] = [[source.name] for source in sources]
-        for rows, targets, _phases in hop_log:
-            target_names = [names[t] for t in targets.tolist()]
-            for row, target_name in zip(rows.tolist(), target_names):
-                paths[row].append(target_name)
+        order = np.argsort(rows, kind="stable")
+        hop_names = self._name_array[targets[order]].tolist()
+        ends = np.cumsum(hops).tolist()
         phase_labels = self.PHASES
         hops_l = hops.tolist()
         touts_l = timeouts.tolist()
@@ -413,20 +433,23 @@ class _KernelBase:
         final_l = final_idx.tolist()
         phase_rows = phase_counts.tolist()
         records = []
-        for b in range(batch):
+        start = 0
+        for b, source in enumerate(sources):
+            end = ends[b]
             records.append(
                 LookupRecord(
                     hops=hops_l[b],
                     success=success_l[b],
                     timeouts=touts_l[b],
                     phase_hops=dict(zip(phase_labels, phase_rows[b])),
-                    source=sources[b].name,
+                    source=source.name,
                     key=key_ids[b],
                     owner=names[final_l[b]],
-                    path=paths[b],
+                    path=[source.name, *hop_names[start:end]],
                     retries=0,
                 )
             )
+            start = end
         return records
 
 
@@ -740,10 +763,9 @@ class CycloidKernel(_KernelBase):
     # -- execution -----------------------------------------------------
 
     def run(self, sources, key_ids) -> List[LookupRecord]:
-        network = self.network
         # The engine sets this on every run; fault-free batches always
         # route with dead-entry filtering inside the step function.
-        network.fault_detection = False
+        self.network.fault_detection = False
         batch = len(sources)
         index = self.index
         cur = np.fromiter(
@@ -755,18 +777,8 @@ class CycloidKernel(_KernelBase):
         kcub = np.fromiter((k.cubical for k in key_ids), np.int64, batch)
         klin = kcub * self.d + kcyc
 
-        hops, timeouts, success, phase_counts, final_idx, hop_log = (
-            self._execute(cur, kcub, kcyc, klin)
-        )
-        all_targets = (
-            np.concatenate([targets for _, targets, _ in hop_log])
-            if hop_log
-            else np.empty(0, dtype=np.int64)
-        )
-        self._flush_query_counts(all_targets, self.names, network)
-        return self._build_records(
-            sources, key_ids, hops, timeouts, success, phase_counts,
-            final_idx, hop_log, self.names,
+        return self._finish(
+            sources, key_ids, *self._execute(cur, kcub, kcyc, klin)
         )
 
     def run_linear(self, source_idx, key_linear) -> Dict[str, object]:
@@ -839,7 +851,7 @@ class CycloidKernel(_KernelBase):
             cur[go] = targets
             hops[go] += 1
             phase_counts[go, pcode[forwarded]] += 1
-            hop_log.append((go, targets, pcode[forwarded]))
+            hop_log.append((go, targets))
             done[rows[~forwarded]] = True
 
         # finish_route: one delivery hop to the best-observed node when
@@ -851,13 +863,7 @@ class CycloidKernel(_KernelBase):
         phase_counts[:, self._TRAV] += deliver
         deliver_rows = np.flatnonzero(deliver)
         if deliver_rows.size:
-            hop_log.append(
-                (
-                    deliver_rows,
-                    final_idx[deliver_rows],
-                    np.full(deliver_rows.size, self._TRAV, dtype=np.int64),
-                )
-            )
+            hop_log.append((deliver_rows, final_idx[deliver_rows]))
 
         success = final_idx == owners  # Cycloid walks never dead-end
         return hops, timeouts, success, phase_counts, final_idx, hop_log
@@ -1318,17 +1324,8 @@ class ChordKernel(_KernelBase):
             ]
         )
 
-    def _in_interval(self, x, left, right):
-        """Vectorized ``(left, right]`` clockwise membership; a
-        degenerate interval covers the whole ring."""
-        modulus = self.modulus
-        dx = (x - left) % modulus
-        dr = (right - left) % modulus
-        return (left == right) | ((0 < dx) & (dx <= dr))
-
     def run(self, sources, key_ids) -> List[LookupRecord]:
-        network = self.network
-        network.fault_detection = False
+        self.network.fault_detection = False
         batch = len(sources)
         index = self.index
         cur = np.fromiter(
@@ -1338,19 +1335,7 @@ class ChordKernel(_KernelBase):
             raise ValueError("lookup source must be alive")
         keys = np.fromiter(key_ids, np.int64, batch)
 
-        hops, timeouts, success, phase_counts, final_idx, hop_log = (
-            self._execute(cur, keys)
-        )
-        all_targets = (
-            np.concatenate([targets for _, targets, _ in hop_log])
-            if hop_log
-            else np.empty(0, dtype=np.int64)
-        )
-        self._flush_query_counts(all_targets, self.names, network)
-        return self._build_records(
-            sources, key_ids, hops, timeouts, success, phase_counts,
-            final_idx, hop_log, self.names,
-        )
+        return self._finish(sources, key_ids, *self._execute(cur, keys))
 
     def run_ids(self, source_idx, keys) -> Dict[str, object]:
         """Array-mode batch: node-index sources, ring-id keys.  The
@@ -1403,7 +1388,7 @@ class ChordKernel(_KernelBase):
             believes = np.where(
                 pred < 0,
                 self.succ_len[current] == 0,
-                self._in_interval(key, pred_id, cur_id),
+                _in_interval(key, pred_id, cur_id, self.modulus),
             )
             # Singleton / orphaned node: _choose_next returns `current`
             # and the engine terminates on the spot.
@@ -1422,7 +1407,7 @@ class ChordKernel(_KernelBase):
             succ_safe = np.maximum(succ, 0)
             succ_id = self.ids[succ_safe]
             believed_id = succ_id[:, 0]  # succ_len >= 1 here
-            delivering = self._in_interval(key, cur_id, believed_id)
+            delivering = _in_interval(key, cur_id, believed_id, self.modulus)
 
             # Segment A — the believed-successor walk (delivery step).
             seg_a_valid = delivering[:, None] & (succ >= 0)
@@ -1439,7 +1424,9 @@ class ChordKernel(_KernelBase):
                 ~delivering[:, None]
                 & (pointers >= 0)
                 & (ptr_id != cur_id[:, None])
-                & self._in_interval(ptr_id, cur_id[:, None], key[:, None])
+                & _in_interval(
+                    ptr_id, cur_id[:, None], key[:, None], self.modulus
+                )
             )
             distance = (ptr_id - cur_id[:, None]) % self.modulus
             ptr_key = np.where(
@@ -1515,11 +1502,213 @@ class ChordKernel(_KernelBase):
             cur[go_rows] = targets[go]
             hops[go_rows] += 1
             phase_counts[go_rows, pcode[go]] += 1
-            hop_log.append((go_rows, targets[go], pcode[go]))
+            hop_log.append((go_rows, targets[go]))
             done[rows[terminal]] = True
             dead_end = ~accepted
             done[rows[dead_end]] = True
             failed[rows[dead_end]] = True
 
         success = ~failed & (cur == owners)
+        return hops, timeouts, success, phase_counts, cur, hop_log
+
+
+# ----------------------------------------------------------------------
+# Viceroy
+# ----------------------------------------------------------------------
+
+
+@_register("viceroy")
+class ViceroyKernel(_KernelBase):
+    """Compiled Viceroy routing (viceroy/network.py's butterfly walk).
+
+    Viceroy links are a pure function of the live membership — joins
+    and departures evict and repair eagerly, ``on_dead_entry`` repairs
+    nothing — so the node universe is exactly the live ring, in ring
+    order, and no link is ever stale.  Memory layout: per-node int64
+    ``ids`` (sorted) and ``levels``; one int32 index column per link —
+    ``up``, the ``left``/``right`` down links, the level ring
+    ``level_prev``/``level_next`` and the general ring ``pred``/``succ``
+    — with ``-1`` where the link is ``None`` or would point back at the
+    node; and the int64 ``reach`` column ``ID_SCALE >> min(level,
+    ID_BITS)``, both the descend threshold and the right link's offset.
+    Every link column is a ``searchsorted`` over one level's sorted ids.
+
+    Per-lookup walk state is one ``stage`` column (ascend → descend →
+    traverse) mirroring ``_ButterflyWalk``: within one wave a row falls
+    through the stages exactly as one ``next_hop`` call does."""
+
+    PHASES = ("ascending", "descending", "traverse")
+    _ASC, _DESC, _TRAV = 0, 1, 2
+
+    def __init__(self, network) -> None:
+        self.network = network
+        self.hop_limit = network.HOP_LIMIT
+        ring = network.ring
+        scale = ring.modulus
+        self.scale = scale
+        nodes = network.live_nodes()  # ring order: ids ascending
+        self.nodes = nodes
+        self.index = {id(node): i for i, node in enumerate(nodes)}
+        self.names = [node.name for node in nodes]
+        count = len(nodes)
+        ids = np.array(ring.ids(), dtype=np.int64)
+        levels = np.fromiter((node.level for node in nodes), np.int64, count)
+        self.ids = ids
+        self.reach = scale >> np.minimum(levels, ring.bits)
+
+        up = np.full(count, -1, dtype=np.int64)
+        left = np.full(count, -1, dtype=np.int64)
+        right = np.full(count, -1, dtype=np.int64)
+        level_prev = np.full(count, -1, dtype=np.int64)
+        level_next = np.full(count, -1, dtype=np.int64)
+        right_point = (ids + self.reach) % scale
+        # Up and down links are "the first node of level L at or after a
+        # point": one searchsorted per occupied level, over its members
+        # (ring order keeps each level's ids sorted).
+        for level in np.unique(levels).tolist():
+            members = np.flatnonzero(levels == level)
+            row = ids[members]
+            size = members.size
+            askers = np.flatnonzero(levels == level + 1)
+            up[askers] = members[np.searchsorted(row, ids[askers]) % size]
+            askers = np.flatnonzero(levels == level - 1)
+            left[askers] = members[np.searchsorted(row, ids[askers]) % size]
+            right[askers] = members[
+                np.searchsorted(row, right_point[askers]) % size
+            ]
+            if size >= 2:
+                level_prev[members] = np.roll(members, 1)
+                level_next[members] = np.roll(members, -1)
+        if count >= 2:
+            pred = np.roll(np.arange(count), 1)
+            succ = np.roll(np.arange(count), -1)
+        else:
+            pred = succ = np.full(count, -1, dtype=np.int64)
+        own = np.arange(count)
+        (
+            self.up, self.left, self.right, self.level_prev,
+            self.level_next, self.pred, self.succ,
+        ) = (
+            np.where(link == own, -1, link).astype(np.int32)
+            for link in (up, left, right, level_prev, level_next, pred, succ)
+        )
+
+    def run(self, sources, key_ids) -> List[LookupRecord]:
+        self.network.fault_detection = False
+        batch = len(sources)
+        index = self.index
+        # Departed nodes are evicted from the ring, so a dead source is
+        # simply absent from the universe.
+        cur = np.fromiter(
+            (index.get(id(source), -1) for source in sources), np.int64, batch
+        )
+        if bool((cur < 0).any()):
+            raise ValueError("lookup source must be alive")
+        keys = np.fromiter(key_ids, np.int64, batch) % self.scale
+        return self._finish(sources, key_ids, *self._execute(cur, keys))
+
+    def _execute(self, cur, keys):
+        batch = cur.shape[0]
+        ids, scale = self.ids, self.scale
+        # Ground truth: the key's ring successor.
+        owners = np.searchsorted(ids, keys) % ids.size
+        stage = np.full(batch, self._ASC, dtype=np.int64)
+        hops = np.zeros(batch, dtype=np.int64)
+        phase_counts = np.zeros((batch, 3), dtype=np.int64)
+        done = np.zeros(batch, dtype=bool)
+        hop_log: List[Tuple] = []
+        hop_limit = self.hop_limit
+
+        while True:
+            rows = np.flatnonzero(~done & (hops < hop_limit))
+            if rows.size == 0:
+                break
+            current = cur[rows]
+            key = keys[rows]
+            cur_id = ids[current]
+            # Terminate on the (pred, id] responsibility test; a lone
+            # node (no predecessor) owns every key.
+            pred = self.pred[current]
+            stop = (pred < 0) | _in_interval(
+                key, ids[np.maximum(pred, 0)], cur_id, scale
+            )
+            if stop.any():
+                done[rows[stop]] = True
+                rows = rows[~stop]
+                if rows.size == 0:
+                    continue
+                current = cur[rows]
+                key = keys[rows]
+                cur_id = ids[current]
+                pred = self.pred[current]
+            # Past the test the ring has >= 2 nodes: pred/succ are set.
+            st = stage[rows]
+
+            # Ascend while an up link exists; otherwise fall through to
+            # the descend stage in this same wave.
+            up = self.up[current]
+            climb = (st == self._ASC) & (up >= 0)
+            st[(st == self._ASC) & ~climb] = self._DESC
+
+            # Descend: left when the key is within reach clockwise, else
+            # right; no down link falls through to the traverse.
+            cw = (key - cur_id) % scale
+            down = np.where(
+                cw < self.reach[current],
+                self.left[current],
+                self.right[current],
+            )
+            dive = (st == self._DESC) & (down >= 0)
+            st[(st == self._DESC) & ~dive] = self._TRAV
+            stage[rows] = st
+
+            # Traverse: deliver to the successor when the key lies in
+            # (id, succ]; otherwise the higher-progress of the general-
+            # and level-ring links on the key's shorter side, never past
+            # the key — clockwise into (id, key], counter-clockwise into
+            # [key, id).  Progress is injective in the candidate's id, so
+            # a tie means both links name one node: the strict `>` keeps
+            # the first-consulted general-ring link, which is the object
+            # engine's dedup.
+            succ = self.succ[current]
+            deliver = _in_interval(key, cur_id, ids[succ], scale)
+            clockwise = cw <= scale - cw
+            sign = np.where(clockwise, 1, -1)
+            span = sign * (key - cur_id) % scale
+            ring_link = np.where(clockwise, succ, pred)
+            level_link = np.where(
+                clockwise, self.level_next[current], self.level_prev[current]
+            )
+
+            def progress(link):
+                step = sign * (ids[np.maximum(link, 0)] - cur_id) % scale
+                return np.where(
+                    (link >= 0) & (0 < step) & (step <= span), step, -1
+                )
+
+            ring_progress = progress(ring_link)
+            level_progress = progress(level_link)
+            walk = np.where(
+                level_progress > ring_progress,
+                level_link,
+                np.where(ring_progress > 0, ring_link, -1),
+            )
+            nxt = np.where(
+                climb, up, np.where(dive, down, np.where(deliver, succ, walk))
+            )
+            pcode = np.where(
+                climb, self._ASC, np.where(dive, self._DESC, self._TRAV)
+            )
+
+            forwarded = nxt >= 0
+            go = rows[forwarded]
+            targets = nxt[forwarded].astype(np.int64)
+            cur[go] = targets
+            hops[go] += 1
+            phase_counts[go, pcode[forwarded]] += 1
+            hop_log.append((go, targets))
+            done[rows[~forwarded]] = True
+
+        timeouts = np.zeros(batch, dtype=np.int64)  # links are never stale
+        success = cur == owners  # a Viceroy walk stops, it never fails
         return hops, timeouts, success, phase_counts, cur, hop_log

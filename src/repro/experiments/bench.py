@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
+from repro.dht.kernel import columnar_protocols
 from repro.dht.metrics import LookupStats
 from repro.experiments.registry import build_complete_network
 from repro.sim.parallel import (
@@ -62,19 +63,26 @@ DEFAULT_BENCH_PROTOCOLS: Tuple[str, ...] = (
 
 #: Protocols with a fully-columnar compiled kernel (DESIGN §S23) — the
 #: only ones where object-vs-columnar timing measures the kernel rather
-#: than the fallback.
-KERNEL_BENCH_PROTOCOLS: Tuple[str, ...] = ("cycloid", "chord")
+#: than the fallback.  Read from the kernel registry, so every
+#: registered kernel is benched and digest-checked.
+KERNEL_BENCH_PROTOCOLS: Tuple[str, ...] = columnar_protocols()
 
 
 @dataclass(frozen=True)
 class BenchCell:
-    """Serial-vs-parallel timing of one overlay's lookup cell."""
+    """Serial-vs-parallel timing of one overlay's lookup cell.
+
+    Each side's time is the best of the bench's repeats; the matching
+    ``*_spread_seconds`` is that side's max minus min over the same
+    repeats, so a speedup is read against the noise that moved it."""
 
     protocol: str
     serial_seconds: float
     parallel_seconds: float
     digest: str
     digest_match: bool
+    serial_spread_seconds: float
+    parallel_spread_seconds: float
 
     @property
     def speedup(self) -> float:
@@ -86,7 +94,9 @@ class BenchCell:
         return {
             "protocol": self.protocol,
             "serial_seconds": self.serial_seconds,
+            "serial_spread_seconds": self.serial_spread_seconds,
             "parallel_seconds": self.parallel_seconds,
+            "parallel_spread_seconds": self.parallel_spread_seconds,
             "speedup": self.speedup,
             "digest": self.digest,
             "digest_match": self.digest_match,
@@ -100,37 +110,50 @@ def run_parallel_bench(
     workers: int = 4,
     shard_size: int = DEFAULT_SHARD_SIZE,
     seed: int = 42,
+    repeats: int = 5,
 ) -> List[BenchCell]:
-    """Time ``workers=1`` vs ``workers=N`` on identical shard plans."""
+    """Time ``workers=1`` vs ``workers=N`` on identical shard plans.
+
+    Each side runs ``repeats`` times, alternating serial and pool so
+    host drift hits both; the best time is kept beside the max-min
+    spread.  ``digest_match`` holds only when every run of both sides
+    produced the serial digest."""
     if workers < 2:
         raise ValueError("bench needs workers >= 2 to compare against serial")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     cells: List[BenchCell] = []
     for protocol in protocols:
         setup = partial(
             plain_setup, build_complete_network, protocol, dimension, seed=seed
         )
-        start = time.perf_counter()
-        serial = run_sharded_lookups(
-            setup, lookups, seed + dimension, workers=1, shard_size=shard_size
-        )
-        serial_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        parallel = run_sharded_lookups(
-            setup,
-            lookups,
-            seed + dimension,
-            workers=workers,
-            shard_size=shard_size,
-        )
-        parallel_seconds = time.perf_counter() - start
-        digest = serial.stats.digest()
+        times: Dict[int, List[float]] = {1: [], workers: []}
+        digests = set()
+        for _ in range(repeats):
+            for fan_out in (1, workers):
+                start = time.perf_counter()
+                merged = run_sharded_lookups(
+                    setup,
+                    lookups,
+                    seed + dimension,
+                    workers=fan_out,
+                    shard_size=shard_size,
+                )
+                times[fan_out].append(time.perf_counter() - start)
+                digest = merged.stats.digest()
+                if fan_out == 1:
+                    serial_digest = digest
+                digests.add(digest)
+        serial, parallel = times[1], times[workers]
         cells.append(
             BenchCell(
                 protocol=protocol,
-                serial_seconds=serial_seconds,
-                parallel_seconds=parallel_seconds,
-                digest=digest,
-                digest_match=digest == parallel.stats.digest(),
+                serial_seconds=min(serial),
+                parallel_seconds=min(parallel),
+                digest=serial_digest,
+                digest_match=digests == {serial_digest},
+                serial_spread_seconds=max(serial) - min(serial),
+                parallel_spread_seconds=max(parallel) - min(parallel),
             )
         )
     return cells

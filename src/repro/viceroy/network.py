@@ -196,19 +196,18 @@ class ViceroyNetwork(Network):
         walk.stage = blob["stage"]
         return walk
 
-    def _believes_responsible(self, node: ViceroyNode, key_id: int) -> bool:
-        predecessor, _ = self.general_ring(node)
-        if predecessor is None:
-            return True  # singleton
-        return in_interval(key_id, predecessor.id, node.id, ID_SCALE)
-
     def next_hop(
         self, current: ViceroyNode, key_id: int, walk: _ButterflyWalk
     ) -> RoutingDecision:
         # Timeouts are identically zero: joins/leaves repair every
         # incoming link (§4.3), so no hop ever contacts a dead node.
-        if self._believes_responsible(current, key_id):
-            return RoutingDecision.terminate()
+        # The general ring is read once per step: it decides
+        # responsibility here and supplies the traverse links below.
+        predecessor, successor = self.general_ring(current)
+        if predecessor is None or in_interval(
+            key_id, predecessor.id, current.id, ID_SCALE
+        ):
+            return RoutingDecision.terminate()  # responsible, or singleton
 
         # Phase 1: ascend to a level-1 node.
         if walk.stage == _STAGE_ASCEND:
@@ -231,9 +230,6 @@ class ViceroyNetwork(Network):
         # Phase 3: traverse via level-ring and general-ring links,
         # moving whichever direction around the ring is shorter and
         # never stepping past the key (the leaf-set-style wrap guard).
-        predecessor, successor = self.general_ring(current)
-        if successor is None:
-            return RoutingDecision.terminate()
         if in_interval(key_id, current.id, successor.id, ID_SCALE):
             return RoutingDecision.forward(successor, PHASE_TRAVERSE)
         level_prev, level_next = self.level_ring(current)

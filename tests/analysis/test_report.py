@@ -91,6 +91,18 @@ class TestFormatBenchTable:
         assert "yes" in cycloid_row
         assert "NO" in chord_row
 
+    def test_spread_beside_best_time(self):
+        cell = dict(
+            self.CELLS[0], serial_spread_seconds=0.25, parallel_spread_seconds=0.5
+        )
+        row = next(
+            line
+            for line in format_bench_table([cell], workers=2).splitlines()
+            if "cycloid" in line
+        )
+        assert "2.00s +0.25" in row
+        assert "0.80s +0.50" in row
+
 
 class TestSeriesByProtocol:
     def test_grouping(self):

@@ -4,8 +4,8 @@ The contract of DESIGN §S23 is that the execution backend is invisible
 in the results: the columnar kernel (:mod:`repro.dht.kernel`) must
 produce byte-identical :class:`LookupRecord` streams, digests and
 query-count tallies for every overlay configuration — natively compiled
-for Cycloid and Chord, via the documented object-engine fallback
-everywhere else (other protocols, trace observers, active fault
+for Cycloid, Chord and Viceroy, via the documented object-engine
+fallback everywhere else (other protocols, trace observers, active fault
 plans).  These tests pin that equivalence across the full registry,
 worker counts, fault plans and a hypothesis sweep of seeds, batch
 sizes and worker counts, plus the actionable-error contract of the
@@ -24,12 +24,14 @@ from repro.cli import build_parser
 from repro.dht.kernel import (
     BACKENDS,
     DEFAULT_BACKEND,
+    ViceroyKernel,
     check_backend,
     columnar_protocols,
     compile_kernel,
     run_lookup_batch,
     supports_columnar,
 )
+from repro.dht.metrics import LookupStats
 from repro.dht.routing import RecordingTracer
 from repro.experiments.bench import (
     compare_to_baseline,
@@ -42,6 +44,8 @@ from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.parallel import plain_setup, run_sharded_lookups
 from repro.sim.workload import lookup_workload
 from repro.util.rng import make_rng
+from repro.viceroy import ViceroyNetwork
+from repro.viceroy.node import ID_SCALE
 
 #: Mirrors tests/sim/test_parallel_parity.py — four non-trivial shards.
 LOOKUPS = 120
@@ -183,7 +187,7 @@ def test_departed_networks_produce_timeouts():
 
 @settings(max_examples=8, deadline=None)
 @given(
-    protocol=st.sampled_from(("cycloid", "chord")),
+    protocol=st.sampled_from(columnar_protocols()),
     seed=st.integers(min_value=0, max_value=2**16),
     count=st.integers(min_value=1, max_value=60),
     workers=st.sampled_from((1, 2, 4)),
@@ -230,7 +234,7 @@ def test_observer_forces_object_fallback_bit_exact():
 
 
 def test_columnar_protocol_registry():
-    assert columnar_protocols() == ("chord", "cycloid")
+    assert columnar_protocols() == ("chord", "cycloid", "viceroy")
     assert supports_columnar(
         build_complete_network("cycloid", 3, seed=SEED)
     )
@@ -425,3 +429,176 @@ class TestKernelBench:
         }
         assert compare_to_baseline(report, None) == []
         assert compare_to_baseline(report, {"kernel": []}) == []
+
+
+# ----------------------------------------------------------------------
+# Viceroy: the butterfly kernel against ViceroyNetwork.next_hop
+# ----------------------------------------------------------------------
+
+
+def _viceroy_departed(how: str, count: int = 150):
+    """``leave`` or ``fail`` ~30% of a random population; both evict
+    the node and re-level survivors through ``_readjust_levels``."""
+    network = ViceroyNetwork.with_random_ids(count, seed=SEED)
+    rng = make_rng(SEED + 13)
+    for node in list(network.live_nodes()):
+        if network.size > 1 and rng.random() < 0.3:
+            getattr(network, how)(node)
+    return network
+
+
+def _viceroy_joined(count: int = 60, arrivals: int = 40):
+    network = ViceroyNetwork.with_random_ids(count, seed=SEED)
+    for index in range(arrivals):
+        network.join(f"arrival-{index}")
+    return network
+
+
+VICEROY_CONFIGS = {
+    **{
+        f"complete-d{d}": partial(
+            build_complete_network, "viceroy", d, seed=SEED
+        )
+        for d in range(3, 9)
+    },
+    **{
+        f"random-{count}": partial(
+            ViceroyNetwork.with_random_ids, count, seed=SEED
+        )
+        for count in (1, 2, 3, 40, 300)
+    },
+    "leave": partial(_viceroy_departed, "leave"),
+    "fail": partial(_viceroy_departed, "fail"),
+    "join": _viceroy_joined,
+}
+
+
+def _viceroy_lookups(network, count: int, seed: int):
+    """``(source index, key id)`` pairs: a seeded workload plus, for up
+    to 60 nodes, keys at and next to the node's id (``id - 1``, ``id``,
+    ``id + 1``, wrapping: the (pred, id] and (id, succ] boundaries) and
+    a lookup from the node itself for the key exactly one descend
+    threshold clockwise of it (``id + ID_SCALE >> level``: a node with
+    no up link descends at once, and at that distance must take the
+    right link)."""
+    nodes = network.live_nodes()
+    position = {id(node): i for i, node in enumerate(nodes)}
+    pairs = [
+        (position[id(source)], network.key_id(key))
+        for source, key in lookup_workload(network, count, make_rng(seed))
+    ]
+    rng = make_rng(seed + 1)
+    for index, node in enumerate(nodes[:60]):
+        for delta in (-1, 0, 1):
+            pairs.append(
+                (rng.randrange(len(nodes)), (node.id + delta) % ID_SCALE)
+            )
+        pairs.append((index, (node.id + (ID_SCALE >> node.level)) % ID_SCALE))
+    return pairs
+
+
+def _assert_viceroy_parity(build, count: int = 150, seed: int = SEED):
+    """Object engine and kernel route the same lookups on two builds of
+    one network: identical records, digests and query counters."""
+    runs = []
+    for backend in BACKENDS:
+        network = build()
+        nodes = network.live_nodes()
+        pairs = [
+            (nodes[source], key)
+            for source, key in _viceroy_lookups(network, count, seed)
+        ]
+        if backend == "columnar":
+            assert isinstance(
+                compile_kernel(network, backend=backend), ViceroyKernel
+            )
+        records = network.route_many(pairs, backend=backend)
+        runs.append((records, LookupStats(records).digest(), network))
+    (obj_records, obj_digest, obj_net), (col_records, col_digest, col_net) = (
+        runs
+    )
+    assert col_records == obj_records
+    assert col_digest == obj_digest
+    assert col_net._query_counts == obj_net._query_counts
+    return obj_records
+
+
+@pytest.mark.parametrize("config", sorted(VICEROY_CONFIGS))
+def test_viceroy_kernel_matches_object_engine(config):
+    records = _assert_viceroy_parity(VICEROY_CONFIGS[config])
+    assert all(record.success for record in records)
+    assert all(record.timeouts == 0 for record in records)
+
+
+def test_viceroy_configs_cover_every_stage():
+    """The parity configs route through all three butterfly stages, and
+    the departures really re-levelled survivors."""
+    totals = dict.fromkeys(ViceroyNetwork.ROUTING_PHASES, 0)
+    for records in (
+        _assert_viceroy_parity(VICEROY_CONFIGS["complete-d5"]),
+        _assert_viceroy_parity(VICEROY_CONFIGS["fail"]),
+    ):
+        for record in records:
+            for phase, hops in record.phase_hops.items():
+                totals[phase] += hops
+    assert all(totals.values()), totals
+    assert _viceroy_departed("fail").maintenance_updates > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    count=st.integers(min_value=1, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**16),
+    departures=st.sampled_from(("none", "leave", "fail")),
+)
+def test_viceroy_parity_property(count, seed, departures):
+    """Property: whatever the population, seed and departure mode, the
+    kernel's records equal the object engine's."""
+
+    def build():
+        network = ViceroyNetwork.with_random_ids(count, seed=seed)
+        if departures != "none":
+            rng = make_rng(seed + 7)
+            for node in list(network.live_nodes()):
+                if network.size > 1 and rng.random() < 0.25:
+                    getattr(network, departures)(node)
+        return network
+
+    _assert_viceroy_parity(build, count=40, seed=seed)
+
+
+def _node_or_void(kernel, node) -> int:
+    return -1 if node is None else kernel.index[id(node)]
+
+
+@pytest.mark.parametrize(
+    "config", ["complete-d6", "random-1", "random-2", "leave", "fail", "join"]
+)
+def test_viceroy_link_columns_match_link_methods(config):
+    """Every compiled link column equals the network's own link methods
+    for every node (``-1`` where the method returns ``None``)."""
+    network = VICEROY_CONFIGS[config]()
+    kernel = ViceroyKernel(network)
+    assert kernel.nodes == network.live_nodes()
+    for i, node in enumerate(network.live_nodes()):
+        left, right = network.down_links(node)
+        level_prev, level_next = network.level_ring(node)
+        pred, succ = network.general_ring(node)
+        assert kernel.up[i] == _node_or_void(kernel, network.up_link(node))
+        assert kernel.left[i] == _node_or_void(kernel, left)
+        assert kernel.right[i] == _node_or_void(kernel, right)
+        assert kernel.level_prev[i] == _node_or_void(kernel, level_prev)
+        assert kernel.level_next[i] == _node_or_void(kernel, level_next)
+        assert kernel.pred[i] == _node_or_void(kernel, pred)
+        assert kernel.succ[i] == _node_or_void(kernel, succ)
+
+
+def test_viceroy_kernel_rejects_departed_source():
+    """A departed node is evicted from the ring, so it is absent from
+    the compiled universe; routing from it raises like the engine."""
+    network = ViceroyNetwork.with_random_ids(20, seed=SEED)
+    gone = network.live_nodes()[3]
+    network.leave(gone)
+    for backend in BACKENDS:
+        with pytest.raises(ValueError, match="must be alive"):
+            network.route_many([(gone, 0)], backend=backend)

@@ -37,11 +37,12 @@ from tests.dht.test_routing_parity import (
 MODEL = LatencyModel(seed=97)
 
 #: Golden configs whose protocol has a columnar compiler (complete
-#: Cycloid builds at either leaf radius, and Chord).
+#: Cycloid builds at either leaf radius, Chord and Viceroy).
 _COLUMNAR_CONFIGS = (
     "cycloid-d5",
     "cycloid11-d5",
     "chord-512",
+    "viceroy-512",
     "cycloid-d5-departures",
     "chord-512-departures",
 )
@@ -63,10 +64,14 @@ class TestLatencyNoneIsBitExact:
         # lookup path; both paths must still match the committed golden.
         assert routing_digest(CONFIGS[name]()) == GOLDEN[name]
 
+    def test_every_columnar_protocol_has_a_config(self):
+        """Each compiled protocol routes at least one golden config on
+        its kernel below — a new kernel cannot slip past these checks."""
+        covered = {CONFIGS[name]().protocol_name for name in _COLUMNAR_CONFIGS}
+        assert covered == set(columnar_protocols())
+
     @pytest.mark.parametrize("name", _COLUMNAR_CONFIGS)
     def test_columnar_goldens_unchanged(self, name):
-        protocols = columnar_protocols()
-        assert "cycloid" in protocols and "chord" in protocols
         network = CONFIGS[name]()
         records = _records(network, backend="columnar", latency=None)
         assert all(r.latency_ms is None for r in records)

@@ -24,7 +24,12 @@ from functools import partial
 
 import pytest
 
-from repro.dht.kernel import BACKENDS, ChordKernel, CycloidKernel
+from repro.dht.kernel import (
+    BACKENDS,
+    ChordKernel,
+    CycloidKernel,
+    ViceroyKernel,
+)
 from repro.dht.metrics import LookupStats
 from repro.dht.routing import TraceObserver
 from repro.dht.snapshot import pack_network
@@ -229,7 +234,7 @@ def test_setup_runs_once_per_cell(tmp_path, workers, observer):
 def _counting_kernels(monkeypatch, calls_path: str) -> None:
     """Make every kernel compile append one line to ``calls_path`` (a
     file, so compiles in forked pool workers are counted too)."""
-    for cls in (CycloidKernel, ChordKernel):
+    for cls in (CycloidKernel, ChordKernel, ViceroyKernel):
 
         def counted(self, network, _compile=cls.__init__):
             with open(calls_path, "a", encoding="utf-8") as handle:
@@ -240,7 +245,7 @@ def _counting_kernels(monkeypatch, calls_path: str) -> None:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("protocol", ["cycloid", "chord"])
+@pytest.mark.parametrize("protocol", ["cycloid", "chord", "viceroy"])
 def test_fault_free_cell_compiles_once_per_process(
     tmp_path, monkeypatch, protocol, workers
 ):

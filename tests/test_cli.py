@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.bench import run_parallel_bench
 
 
 class TestParser:
@@ -268,6 +269,27 @@ class TestBench:
     def test_bench_rejects_single_worker(self):
         with pytest.raises(ValueError):
             main(["bench", "--workers", "1", "--lookups", "40"])
+
+    def test_parallel_bench_rejects_zero_repeats(self):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            run_parallel_bench(protocols=("chord",), workers=2, repeats=0)
+
+    def test_parallel_bench_reports_best_and_spread(self):
+        (cell,) = run_parallel_bench(
+            protocols=("chord",),
+            dimension=3,
+            lookups=40,
+            workers=2,
+            shard_size=10,
+            repeats=3,
+        )
+        assert cell.digest_match
+        assert cell.serial_seconds > 0 and cell.parallel_seconds > 0
+        assert cell.serial_spread_seconds >= 0
+        assert cell.parallel_spread_seconds >= 0
+        payload = cell.as_dict()
+        assert "serial_spread_seconds" in payload
+        assert "parallel_spread_seconds" in payload
 
 
 class TestServeLoadgenParsers:
