@@ -584,6 +584,19 @@ def validate_net_report(report: Dict[str, object]) -> None:
     mode = report["mode"]
     if mode not in ("closed-loop", "open-churn"):
         raise ValueError(f"net report mode {mode!r} is unknown")
+    # Self-hosted runs count the STEP frames their servers forwarded;
+    # an attached run cannot see the servers, so the field is optional.
+    if "forwards_per_op" in report:
+        forwards = report["forwards_per_op"]
+        if (
+            isinstance(forwards, bool)
+            or not isinstance(forwards, (int, float))
+            or not forwards >= 0
+        ):
+            raise ValueError(
+                f"net report forwards_per_op {forwards!r} is not a "
+                "non-negative number"
+            )
     if mode == "open-churn":
         _validate_churn_report(report)
         return

@@ -1,14 +1,18 @@
 """LocalCluster: boot a built overlay as real servers on loopback.
 
 The harness behind ``repro serve`` and the self-hosting mode of
-``repro loadgen``: it partitions a :class:`~repro.dht.base.Network`'s
-live nodes round-robin across ``servers`` :class:`NodeService`
-instances, binds each to an OS-assigned loopback port, and publishes
-one shared *directory* (node name -> ``[host, port]``) that every
-service and every :class:`~repro.net.client.ClusterClient` resolves
-through.  Because the directory is one dict object shared by all
-services, a JOIN handled by any server is immediately routable from
-everywhere.
+``repro loadgen``: it splits a :class:`~repro.dht.base.Network`'s live
+nodes across ``servers`` :class:`NodeService` instances by *arc
+placement* — each server hosts one contiguous run of identifier order
+(``live_nodes()`` order) — binds each to an OS-assigned loopback port,
+and publishes one shared *directory* (node name -> ``[host, port]``)
+that every service and every :class:`~repro.net.client.ClusterClient`
+resolves through.  Overlay routing is local in identifier space (a
+Cycloid hop moves to an adjacent cycle or fixes one cubical bit below
+a shared prefix), so most hops stay on one server and a lookup crosses
+the wire only where its route leaves that server's arc.  Because the
+directory is one dict object shared by all services, a JOIN handled by
+any server is immediately routable from everywhere.
 
 A running cluster can describe itself as a *spec* — a JSON document
 carrying the directory plus the deterministic build recipe (protocol,
@@ -39,6 +43,12 @@ SPEC_SCHEMA = "repro/cluster-spec/v1"
 class LocalCluster:
     """``servers`` asyncio node servers jointly hosting ``network``.
 
+    Server ``i`` of ``s`` hosts ``names[i*n//s : (i+1)*n//s]`` of the
+    ``n`` live names in identifier order, so arcs differ in size by at
+    most one; ``servers`` is clamped to ``n``.  Placement never moves
+    a hop path (routing depends only on the overlay), only which hops
+    are STEP frames between servers.
+
     ``build`` (optional) is the deterministic recipe the network was
     built from — e.g. ``{"protocol": "cycloid", "dimension": 4,
     "seed": 42}`` — embedded verbatim in :meth:`spec` so attaching
@@ -64,9 +74,11 @@ class LocalCluster:
         if not names:
             raise ValueError("network has no live nodes to serve")
         servers = min(servers, len(names))
-        partitions: List[List[str]] = [[] for _ in range(servers)]
-        for index, name in enumerate(names):
-            partitions[index % servers].append(name)
+        count = len(names)
+        partitions = [
+            names[index * count // servers:(index + 1) * count // servers]
+            for index in range(servers)
+        ]
         self.network = network
         self.build = dict(build) if build else {}
         self.replicas = replicas

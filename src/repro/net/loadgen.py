@@ -467,9 +467,18 @@ async def _loadgen(
             #: live-vs-engine modeled-total parity: the worst per-op gap.
             "max_abs_diff_ms": max(diffs) if diffs else 0.0,
         }
+    if cluster is not None:
+        report["forwards_per_op"] = _forwards_per_op(cluster, len(results))
     if trace_path is not None:
         report["trace"] = {"path": trace_path, "lines": trace_lines}
     return report
+
+
+def _forwards_per_op(cluster: LocalCluster, completed: int) -> float:
+    """STEP continuations the cluster's servers handed to one another,
+    per completed operation: how often a route left a server's arc."""
+    forwards = sum(service.steps_forwarded for service in cluster.services)
+    return forwards / completed if completed else 0.0
 
 
 def _install_sigint(stop: asyncio.Event):
@@ -801,6 +810,9 @@ async def _churnstorm(
     try:
         await asyncio.gather(dispatch(), drive_churn())
         open_elapsed = now()
+        # Counted before the verification sweep: the figure is per
+        # open-loop operation, under the churn that moved the arcs.
+        forwards_per_op = _forwards_per_op(cluster, len(results))
 
         # ----------------------------------------------------------
         # verification sweep: every acknowledged PUT must be readable
@@ -883,6 +895,7 @@ async def _churnstorm(
             len(results) / open_elapsed if open_elapsed > 0 else 0.0
         ),
         "elapsed_s": open_elapsed,
+        "forwards_per_op": forwards_per_op,
         "churn": {
             "plan": {
                 "seed": churn.seed,

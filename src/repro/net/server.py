@@ -159,6 +159,9 @@ class NodeService:
         self.replica_pushes = 0
         #: GETs answered from a replica after the primary lost the key.
         self.read_repairs = 0
+        #: STEP continuations handed to another server (a route leaving
+        #: this server's hosted nodes).
+        self.steps_forwarded = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._address: Optional[Address] = None
         self._peers: Dict[Address, RpcConnection] = {}
@@ -590,6 +593,7 @@ class NodeService:
     ) -> Dict[str, object]:
         """Hand the continuation to the server hosting ``name`` and
         relay its final reply back down the chain."""
+        self.steps_forwarded += 1
         return await self._peer_request(
             self._address_of(name), MessageType.STEP, continuation, name
         )
@@ -742,6 +746,7 @@ class NodeService:
             "replicas": self.replicas,
             "replica_pushes": self.replica_pushes,
             "read_repairs": self.read_repairs,
+            "steps_forwarded": self.steps_forwarded,
         }
 
     def _required_name(self, payload: Dict[str, object], verb: str) -> str:

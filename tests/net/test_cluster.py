@@ -64,7 +64,7 @@ class TestLifecycle:
             if record.name == "asyncio" and record.levelno >= logging.ERROR
         ]
 
-    def test_round_robin_partition_covers_all_nodes(self):
+    def test_arc_partition_covers_all_nodes(self):
         cluster = small_cluster(servers=5)
         hosted = [name for svc in cluster.services for name in svc.hosted]
         assert sorted(hosted) == sorted(
@@ -72,6 +72,25 @@ class TestLifecycle:
         )
         sizes = [len(svc.hosted) for svc in cluster.services]
         assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("servers", [1, 2, 3, 5, 7])
+    def test_each_service_hosts_a_contiguous_arc(self, servers):
+        network = CycloidNetwork.with_random_ids(37, 4, seed=3)
+        cluster = LocalCluster(network, servers=servers)
+        order = [str(node.name) for node in network.live_nodes()]
+        # Concatenated in service order, the arcs are the identifier
+        # order itself: every service holds one unbroken run of it.
+        assert [
+            name for svc in cluster.services for name in svc.hosted
+        ] == order
+
+    def test_complete_cycloid_arcs_are_cubical_ranges(self):
+        network = CycloidNetwork.complete(4)  # 64 nodes, 16 cycles
+        cluster = LocalCluster(network, servers=3)
+        ids = {str(node.name): node.id for node in network.live_nodes()}
+        for svc in cluster.services:
+            cubes = sorted({ids[name].cubical for name in svc.hosted})
+            assert cubes == list(range(cubes[0], cubes[-1] + 1))
 
     def test_more_servers_than_nodes_is_clamped(self):
         network = CycloidNetwork.with_random_ids(3, 3, seed=1)
@@ -292,5 +311,34 @@ class TestReplicasThreading:
                     ]
                     assert all(p["replicas"] == 2 for p in pongs)
                     assert sum(p["replica_pushes"] for p in pongs) >= 1
+
+        run(go())
+
+    def test_ping_counts_steps_forwarded_per_server_crossing(self):
+        async def go():
+            network = CycloidNetwork.complete(4)
+            async with LocalCluster(network, servers=3) as cluster:
+                directory = cluster.directory
+                names = sorted(directory)
+                crossings = 0
+                async with cluster.client() as client:
+                    for index in range(40):
+                        reply = await client.lookup(
+                            f"key-{index}", names[index % len(names)]
+                        )
+                        path = reply["path"]
+                        crossings += sum(
+                            directory[a] != directory[b]
+                            for a, b in zip(path, path[1:])
+                        )
+                    pongs = [
+                        await client.ping(tuple(address))
+                        for address in cluster.addresses
+                    ]
+                assert crossings > 0
+                assert [p["steps_forwarded"] for p in pongs] == [
+                    svc.steps_forwarded for svc in cluster.services
+                ]
+                assert sum(p["steps_forwarded"] for p in pongs) == crossings
 
         run(go())

@@ -1,10 +1,13 @@
 """Load generator: concurrency, digests, schema guard, live traces."""
 
+import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.experiments.bench import validate_net_report
+from repro.net.cluster import LocalCluster
 from repro.net.loadgen import (
     NET_BENCH_SCHEMA,
     build_from_recipe,
@@ -177,6 +180,54 @@ class TestSchemaGuard:
             validate_net_report(report)
 
 
+class TestForwardTelemetry:
+    """``forwards_per_op``: STEP frames the servers forwarded per op."""
+
+    BUILD = {"protocol": "cycloid", "dimension": 3, "seed": 1}
+
+    def test_self_hosted_report_counts_forwards(self):
+        split = run_loadgen(
+            self.BUILD, servers=2, clients=4, lookups=20, puts=4, seed=3
+        )
+        single = run_loadgen(
+            self.BUILD, servers=1, clients=4, lookups=20, puts=4, seed=3
+        )
+        assert split["forwards_per_op"] > 0
+        assert single["forwards_per_op"] == 0.0
+        validate_net_report(split)
+        validate_net_report(single)
+
+    def test_attached_report_leaves_forwards_out(self):
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        cluster = LocalCluster(
+            build_from_recipe(self.BUILD), servers=2, build=self.BUILD
+        )
+        asyncio.run_coroutine_threadsafe(cluster.start(), loop).result(10)
+        try:
+            report = run_loadgen(
+                self.BUILD, clients=2, lookups=6, puts=2, seed=3,
+                spec=cluster.spec(),
+            )
+        finally:
+            asyncio.run_coroutine_threadsafe(cluster.stop(), loop).result(10)
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
+            loop.close()
+        assert report["attached"] is True
+        assert report["digest"]["match"] is True
+        assert "forwards_per_op" not in report
+        validate_net_report(report)
+
+    @pytest.mark.parametrize("value", [-0.5, "many", None, True, float("nan")])
+    def test_bad_forwards_per_op_rejected(self, value):
+        report = partial_report(self.BUILD, 2, 4, 6, 2, 3)
+        report["forwards_per_op"] = value
+        with pytest.raises(ValueError, match="forwards_per_op"):
+            validate_net_report(report)
+
+
 class TestChurnSchemaGuard:
     """The ``"open-churn"`` report mode of the same schema tag."""
 
@@ -205,6 +256,13 @@ class TestChurnSchemaGuard:
         report = self.make_report()
         assert "digest" not in report
         validate_net_report(report)
+
+    def test_negative_forwards_per_op_rejected(self):
+        report = self.make_report()
+        assert report["forwards_per_op"] >= 0
+        report["forwards_per_op"] = -1
+        with pytest.raises(ValueError, match="forwards_per_op"):
+            validate_net_report(report)
 
     def test_missing_churn_section_rejected(self):
         report = self.make_report()

@@ -60,12 +60,14 @@ def engine_baseline(network, pairs):
 
 
 async def live_results(network, pairs, servers):
+    """The live replies, plus the directory the cluster served them by."""
     async with LocalCluster(network, servers=servers) as cluster:
         async with cluster.client() as client:
-            return [
+            replies = [
                 await client.lookup(key, source, lookup_id=index)
                 for index, (source, key) in enumerate(pairs)
             ]
+        return replies, dict(cluster.directory)
 
 
 def assert_bit_exact(baseline, reply, context):
@@ -88,25 +90,29 @@ def assert_bit_exact(baseline, reply, context):
 
 class TestGoldenCycloidParity:
     def test_d5_cycloid_hop_paths_are_bit_exact(self):
-        """The issue's golden case: d=5 complete Cycloid (160 nodes),
+        """The golden case: d=5 complete Cycloid (160 nodes),
         multi-server, every hop crossing the wire where the partition
         demands it."""
         network = build_complete_network("cycloid", 5)
         pairs = workload(network, 60, seed=2024)
         baselines = engine_baseline(network, pairs)
-        replies = run(live_results(network, pairs, servers=4))
+        replies, directory = run(live_results(network, pairs, servers=4))
         crossings = 0
         for index, (baseline, reply) in enumerate(zip(baselines, replies)):
             assert_bit_exact(baseline, reply, f"lookup {index}: {pairs[index]}")
-            crossings += max(0, len(reply["path"]) - 1)
-        # The workload must actually have exercised multi-hop routing.
-        assert crossings > len(pairs)
+            path = reply["path"]
+            crossings += sum(
+                directory[a] != directory[b] for a, b in zip(path, path[1:])
+            )
+        # Some hops must have left their server's arc, so the parity
+        # above covers STEP frames carrying packed route state.
+        assert crossings > 0
 
     def test_parity_survives_single_server_hosting(self):
         network = build_complete_network("cycloid", 4)
         pairs = workload(network, 20, seed=5)
         baselines = engine_baseline(network, pairs)
-        replies = run(live_results(network, pairs, servers=1))
+        replies, _ = run(live_results(network, pairs, servers=1))
         for baseline, reply in zip(baselines, replies):
             assert_bit_exact(baseline, reply, "single-server")
 
@@ -119,7 +125,7 @@ class TestAllProtocolParity:
         network = build_sized_network(protocol, 30, seed=9)
         pairs = workload(network, 25, seed=77)
         baselines = engine_baseline(network, pairs)
-        replies = run(live_results(network, pairs, servers=3))
+        replies, _ = run(live_results(network, pairs, servers=3))
         for index, (baseline, reply) in enumerate(zip(baselines, replies)):
             assert_bit_exact(baseline, reply, f"{protocol} lookup {index}")
 
