@@ -19,6 +19,8 @@ again, whatever the worker count.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
 from functools import partial
 
@@ -33,6 +35,7 @@ from repro.dht.kernel import (
 from repro.dht.metrics import LookupStats
 from repro.dht.routing import TraceObserver
 from repro.dht.snapshot import pack_network
+from repro.experiments.crash import crashed_setup
 from repro.experiments.failures import departed_setup
 from repro.experiments.registry import (
     ALL_PROTOCOLS,
@@ -424,6 +427,43 @@ def test_golden_digest(protocol):
         shard_size=SHARD_SIZE,
     )
     assert merged.stats.digest() == GOLDEN_DIGESTS[protocol]
+
+
+#: Golden digests of the fault-mode cascade: crash+retry cells at d=6
+#: (30% ungraceful crashes, 5% message loss, retry budget 8, three
+#: shards), hashed over the fields perfbench's crash digest covers.
+#: Cycloid's ranked alternates, lazy route repair and the per-shard
+#: loss streams all feed them; nothing else pins that path.
+FAULT_GOLDEN_DIGESTS = {
+    "cycloid": "ee906fd366692971558c1252a55a560ef1534a4beeb098223a273b3b85e43152",
+    "cycloid-11": "dab07365f745c2b54eb4ed9d345c0ec7bfbbc2d6a881b6694e4d22ec7f08c462",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(FAULT_GOLDEN_DIGESTS))
+def test_fault_mode_golden_digest(protocol):
+    plan = FaultPlan(seed=SEED + 30, crash_probability=0.3, message_loss=0.05)
+    merged = run_sharded_lookups(
+        partial(crashed_setup, protocol, 6, SEED, plan),
+        1200,
+        SEED + 1,
+        workers=1,
+        shard_size=400,
+        retry_budget=8,
+    )
+    assert merged.shards == 3
+    assert merged.stats.failures > 0 and merged.stats.total_retries > 0
+    payload = json.dumps(
+        [
+            merged.stats.digest(),
+            merged.route_repairs,
+            merged.crashed,
+            merged.population,
+            merged.dropped_messages,
+        ]
+    )
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == FAULT_GOLDEN_DIGESTS[protocol]
 
 
 class TestDigest:
