@@ -26,16 +26,21 @@ responsibility of system stabilization, as in Chord."
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.node import CycloidNode
 from repro.core.topology import CycloidTopology
 from repro.dht.base import Network
 from repro.dht.hashing import hash_to_cycloid
-from repro.dht.identifiers import CycloidId, cycloid_space_size
+from repro.dht.identifiers import (
+    CycloidId,
+    cycloid_cube_unit,
+    cycloid_space_size,
+)
 from repro.dht.routing import RoutingDecision
 from repro.sim.latency import LatencyModel, stable_unit
-from repro.util.bitops import circular_distance, clockwise_distance, msdb
+from repro.util.bitops import circular_distance
 from repro.util.rng import make_rng
 
 __all__ = ["CycloidNetwork", "LEAF_SELECTIONS"]
@@ -52,6 +57,10 @@ PHASE_ASCENDING = "ascending"
 PHASE_DESCENDING = "descending"
 PHASE_TRAVERSE = "traverse"
 
+#: Sort key of a ``(packed closeness, linear id, node)`` candidate
+#: record; a key function keeps equal-id duplicates in stable order.
+_closeness = itemgetter(0)
+
 
 def _in_cubical_arc(point: int, left: int, right: int, modulus: int) -> bool:
     """True iff ``point`` lies on the closed clockwise arc [left, right].
@@ -65,24 +74,43 @@ def _in_cubical_arc(point: int, left: int, right: int, modulus: int) -> bool:
 
 
 class _RouteState:
-    """Per-lookup bookkeeping carried by the (simulated) message."""
+    """Per-lookup bookkeeping carried by the (simulated) message.
 
-    __slots__ = ("key_id", "visited", "explored_cycles", "best", "best_distance")
+    Nodes are keyed by linear identifier, never by node object: a stale
+    pointer and the node that later rejoined under its id are one node
+    to the route.  ``memo`` holds each met node's §3.1 closeness to the
+    key as one packed int (:meth:`CycloidId.packed_distance_to`), so a
+    route computes it at most once per node.
+    """
+
+    __slots__ = (
+        "key_id", "visited", "explored_cycles", "best", "best_distance", "memo"
+    )
 
     def __init__(self, key_id: CycloidId) -> None:
         self.key_id = key_id
-        #: nodes the message has passed through
-        self.visited: Set[CycloidId] = set()
+        #: linear ids of the nodes the message has passed through
+        self.visited: Set[int] = set()
         #: cycles already examined during last-mile tie exploration
         self.explored_cycles: Set[int] = set()
         #: numerically closest live node observed so far
         self.best: Optional[CycloidNode] = None
-        self.best_distance: Optional[Tuple[int, int, int, int]] = None
+        self.best_distance: Optional[int] = None
+        #: linear id -> packed closeness to the key
+        self.memo: Dict[int, int] = {}
+
+    def closeness(self, node_id: CycloidId) -> Tuple[int, int]:
+        """``(packed closeness to the key, linear id)`` of ``node_id``."""
+        linear = node_id.cubical * node_id.dimension + node_id.cyclic
+        packed = self.memo.get(linear)
+        if packed is None:
+            packed = self.memo[linear] = self.key_id.packed_distance_to(node_id)
+        return packed, linear
 
     def observe(self, node: CycloidNode) -> None:
         if not node.alive:
             return
-        distance = self.key_id.distance_to(node.id)
+        distance = self.closeness(node.id)[0]
         if self.best_distance is None or distance < self.best_distance:
             self.best = node
             self.best_distance = distance
@@ -263,11 +291,12 @@ class CycloidNetwork(Network):
     def next_hop(
         self, current: CycloidNode, key_id: CycloidId, state: "_RouteState"
     ) -> RoutingDecision:
-        if current.id == key_id:
+        distance, linear = state.closeness(current.id)
+        if distance == 0:  # current.id == key_id
             return RoutingDecision.terminate()
-        state.visited.add(current.id)
+        state.visited.add(linear)
         node, phase, timeouts, alternates = self._choose_next(
-            current, key_id, state
+            current, key_id, state, distance
         )
         if node is None:
             # No live entry improves on what has been seen.
@@ -294,7 +323,7 @@ class CycloidNetwork(Network):
         membership, never by order.
         """
         return {
-            "visited": sorted(i.linear for i in state.visited),
+            "visited": sorted(state.visited),
             "explored": sorted(state.explored_cycles),
             "best": None if state.best is None else state.best.id.linear,
         }
@@ -302,19 +331,15 @@ class CycloidNetwork(Network):
     def unpack_route_state(
         self, blob: object, key_id: CycloidId
     ) -> "_RouteState":
-        dimension = self.dimension
         state = _RouteState(key_id)
-        state.visited = {
-            CycloidId.from_linear(value, dimension)
-            for value in blob["visited"]
-        }
+        state.visited = set(blob["visited"])
         state.explored_cycles = set(blob["explored"])
         if blob["best"] is not None:
-            best_id = CycloidId.from_linear(blob["best"], dimension)
+            best_id = CycloidId.from_linear(blob["best"], self.dimension)
             best = self.topology.try_get(best_id.cyclic, best_id.cubical)
             if best is not None:
                 # observe() recomputes best_distance exactly as the
-                # original observation did (distance_to is pure).
+                # original observation did (the closeness is pure).
                 state.observe(best)
         return state
 
@@ -323,6 +348,7 @@ class CycloidNetwork(Network):
         current: CycloidNode,
         key_id: CycloidId,
         state: "_RouteState",
+        current_distance: int,
     ) -> Tuple[
         Optional[CycloidNode],
         str,
@@ -338,56 +364,90 @@ class CycloidNetwork(Network):
         traverse-cycle leaf fallback — comes back unfiltered as primary
         plus ranked alternates, and the engine's probe loop does the
         dead-node detection that ``try_candidates`` does here otherwise.
+
+        Candidates travel as ``(packed closeness, linear id, node)``
+        records.  The packed int orders by cubical distance first, so
+        every cubical-distance test is a range test on it:
+        ``cube_floor <= packed < cube_ceiling`` holds exactly for nodes
+        as cubically far from the key as ``current``.
         """
         fault_mode = self.fault_detection
         collected: List[Tuple[CycloidNode, str]] = []
-        offered: Set[CycloidId] = set()
+        offered: Set[int] = set()
         timeouts = 0
-        dead_tried: Set[CycloidId] = set()
-        modulus = 1 << self.dimension
-        current_distance = key_id.distance_to(current.id)
-
-        def cube_distance(node: CycloidNode) -> int:
-            return circular_distance(node.cubical, key_id.cubical, modulus)
-
-        current_cube = cube_distance(current)
-        current_bit = msdb(current.cubical, key_id.cubical)
+        dead_tried: Set[int] = set()
+        visited = state.visited
+        d = self.dimension
+        modulus = 1 << d
+        kcub = key_id.cubical
+        cur_cub = current.id.cubical
+        cur_cyc = current.id.cyclic
+        cube_unit = cycloid_cube_unit(d)
+        current_cube = current_distance // cube_unit
+        cube_floor = current_cube * cube_unit
+        cube_ceiling = cube_floor + cube_unit
 
         def try_candidates(
-            candidates: Iterable[CycloidNode],
-            phase: str,
-            allow_visited: bool = False,
+            records: List[tuple], phase: str, allow_visited: bool = False
         ) -> Optional[Tuple[CycloidNode, str]]:
             nonlocal timeouts
-            if fault_mode:
+            for distance, linear, candidate in records:
+                if not candidate.alive:
+                    if not fault_mode:
+                        if linear not in dead_tried:
+                            dead_tried.add(linear)
+                            timeouts += 1
+                        continue
+                elif (
+                    state.best_distance is None
+                    or distance < state.best_distance
+                ):
+                    state.best, state.best_distance = candidate, distance
+                if linear in visited and not allow_visited:
+                    continue
+                if not fault_mode:
+                    return candidate, phase
                 # Collect unfiltered (the engine probes for liveness);
                 # returning None keeps the cascade going so later
                 # branches contribute the lower-ranked fallbacks.
-                for candidate in candidates:
-                    if candidate.alive:
-                        state.observe(candidate)
-                    if candidate.id in state.visited and not allow_visited:
-                        continue
-                    if candidate.id in offered:
-                        continue
-                    offered.add(candidate.id)
+                if linear not in offered:
+                    offered.add(linear)
                     collected.append((candidate, phase))
-                return None
-            for candidate in candidates:
-                if not candidate.alive:
-                    if candidate.id not in dead_tried:
-                        dead_tried.add(candidate.id)
-                        timeouts += 1
-                    continue
-                state.observe(candidate)
-                if candidate.id in state.visited and not allow_visited:
-                    continue
-                return candidate, phase
             return None
 
-        leaves = self._unique_leaves(current)
-        for leaf in leaves:
-            state.observe(leaf)
+        # One pass over the leaf slots: closeness from the memo, the
+        # keep-first dedup by id and the best-observed update.
+        memo = state.memo
+        best, best_distance = state.best, state.best_distance
+        seen: Set[int] = set()
+        leaves = []
+        sides = []
+        outside_left = current.outside_left
+        outside_right = current.outside_right
+        for side in (
+            current.inside_left + current.inside_right,
+            outside_left + outside_right,
+        ):
+            records = []
+            for leaf in side:
+                if leaf is current:
+                    continue
+                leaf_id = leaf.id
+                linear = leaf_id.cubical * d + leaf_id.cyclic
+                distance = memo.get(linear)
+                if distance is None:
+                    distance = memo[linear] = key_id.packed_distance_to(leaf_id)
+                records.append((distance, linear, leaf))
+                if linear not in seen:
+                    seen.add(linear)
+                    leaves.append(records[-1])
+                    if leaf.alive and (
+                        best_distance is None or distance < best_distance
+                    ):
+                        best, best_distance = leaf, distance
+            sides.append(records)
+        inside, outside = sides
+        state.best, state.best_distance = best, best_distance
 
         # Traverse-cycle trigger: the key's cubical index falls within
         # the arc of the large cycle covered by the outside leaf set.
@@ -396,101 +456,69 @@ class CycloidNetwork(Network):
         # current cycle or a leaf cycle — no cubical descent can help,
         # and leaving the arc (as prefix-correction might) would move
         # away from the owner.
-        arc_left = (
-            current.outside_left[-1].cubical
-            if current.outside_left
-            else current.cubical
-        )
-        arc_right = (
-            current.outside_right[-1].cubical
-            if current.outside_right
-            else current.cubical
-        )
-        traversing = _in_cubical_arc(
-            key_id.cubical, arc_left, arc_right, modulus
-        )
+        arc_left = outside_left[-1].cubical if outside_left else cur_cub
+        arc_right = outside_right[-1].cubical if outside_right else cur_cub
 
-        if not traversing:
-            bit = current_bit
-            if current.cyclic < bit:
+        if not _in_cubical_arc(kcub, arc_left, arc_right, modulus):
+            bit = (cur_cub ^ kcub).bit_length() - 1  # the MSDB
+            if cur_cyc < bit:
                 # Ascending via the outside leaf set, preferring the
                 # side cubically closest to the destination; a hop must
                 # make cubical progress.
-                candidates = [
-                    leaf
-                    for leaf in current.outside_left + current.outside_right
-                    if leaf is not current
-                    and cube_distance(leaf) < current_cube
-                ]
+                candidates = [r for r in outside if r[0] < cube_floor]
                 candidates.sort(
-                    key=lambda n: (cube_distance(n), -n.cyclic, n.cubical)
+                    key=lambda r: (r[0] // cube_unit, -(r[1] % d), r[1] // d)
                 )
                 found = try_candidates(candidates, PHASE_ASCENDING)
                 if found is not None:
                     return found[0], found[1], timeouts, ()
-            elif current.cyclic == bit:
+            elif cur_cyc == bit:
                 # Descending: the cubical neighbour corrects bit `k`.
                 # Convergence criterion from §3.2: the next node either
                 # shares a longer prefix with the key, or shares as long
                 # a prefix but is numerically closer.
                 neighbor = current.cubical_neighbor
-                if neighbor is not None and self._phi(
-                    neighbor, key_id
-                ) < (bit, current_cube):
-                    found = try_candidates([neighbor], PHASE_DESCENDING)
-                    if found is not None:
-                        return found[0], found[1], timeouts, ()
+                if neighbor is not None:
+                    distance, linear = state.closeness(neighbor.id)
+                    prefix = (neighbor.id.cubical ^ kcub).bit_length() - 1
+                    if prefix < bit or (prefix == bit and distance < cube_floor):
+                        found = try_candidates(
+                            [(distance, linear, neighbor)], PHASE_DESCENDING
+                        )
+                        if found is not None:
+                            return found[0], found[1], timeouts, ()
             else:
                 # Descending: cyclic neighbours / inside leaves lower the
                 # cyclic index toward the MSDB without losing prefix or
-                # cubical progress.
-                prefer_larger = (
-                    clockwise_distance(
-                        current.cubical, key_id.cubical, modulus
-                    )
-                    <= modulus // 2
-                )
+                # cubical progress, "whichever is closer to the target"
+                # (§3.2).  Closeness is a strict order and a node's side
+                # follows from its id, so the paper's clockwise rule for
+                # picking between the two cyclic neighbours is implied.
+                routing = [
+                    (*state.closeness(entry.id), entry)
+                    for entry in (current.cyclic_larger, current.cyclic_smaller)
+                    if entry is not None and entry is not current
+                ]
                 ranked = []
-                for entry in (
-                    current.cyclic_larger,
-                    current.cyclic_smaller,
-                    *current.inside_left,
-                    *current.inside_right,
-                ):
-                    if entry is None or entry is current:
+                for record in routing + inside:
+                    if not bit <= record[1] % d < cur_cyc:
                         continue
-                    if not bit <= entry.cyclic < current.cyclic:
-                        continue
-                    if self._phi(entry, key_id) > (bit, current_cube):
+                    prefix = ((record[1] // d) ^ kcub).bit_length() - 1
+                    if prefix > bit or (
+                        prefix == bit and record[0] >= cube_ceiling
+                    ):
                         continue  # would lose corrected-prefix progress
-                    # "whichever is closer to the target" (§3.2): rank by
-                    # the key-closeness metric.  The paper's clockwise
-                    # rule for picking between the two cyclic neighbours
-                    # falls out of it (the neighbour on the key's side is
-                    # cubically closer) and survives as the tie-break.
-                    larger_side = entry.cubical >= current.cubical
-                    ranked.append(
-                        (
-                            key_id.distance_to(entry.id),
-                            0 if larger_side == prefer_larger else 1,
-                            entry,
-                        )
-                    )
-                ranked.sort(key=lambda item: item[:2])
-                found = try_candidates(
-                    [item[2] for item in ranked], PHASE_DESCENDING
-                )
+                    ranked.append(record)
+                ranked.sort(key=_closeness)
+                found = try_candidates(ranked, PHASE_DESCENDING)
                 if found is not None:
                     return found[0], found[1], timeouts, ()
 
         # Traverse-cycle / fallback: the numerically closest leaf entry
-        # that makes strict progress toward the key.
-        closer = [
-            leaf
-            for leaf in leaves
-            if key_id.distance_to(leaf.id) < current_distance
-        ]
-        closer.sort(key=lambda n: key_id.distance_to(n.id))
+        # that makes strict progress toward the key.  Deduplicated
+        # leaves have distinct closeness, so tuples sort by it alone.
+        closer = [r for r in leaves if r[0] < current_distance]
+        closer.sort()
         found = try_candidates(closer, PHASE_TRAVERSE)
         if found is not None:
             return found[0], found[1], timeouts, ()
@@ -501,32 +529,21 @@ class CycloidNetwork(Network):
         # (via its primary in the outside leaf set) and the unvisited
         # members of the current cycle, relying on the best-observed
         # handoff in :meth:`route` for the final delivery.
-        live_outside = [
-            leaf
-            for leaf in current.outside_left + current.outside_right
-            if leaf is not current and leaf.alive
-        ]
-        locally_minimal = all(
-            cube_distance(leaf) >= current_cube for leaf in live_outside
-        )
-        if locally_minimal:
-            inside_unvisited = [
-                leaf
-                for leaf in (*current.inside_left, *current.inside_right)
-                if leaf is not current and leaf.id not in state.visited
-            ]
-            inside_unvisited.sort(key=lambda n: key_id.distance_to(n.id))
+        live_outside = [r for r in outside if r[2].alive]
+        if all(r[0] >= cube_floor for r in live_outside):
+            inside_unvisited = [r for r in inside if r[1] not in visited]
+            inside_unvisited.sort(key=_closeness)
             found = try_candidates(inside_unvisited, PHASE_TRAVERSE)
             if found is not None:
                 return found[0], found[1], timeouts, ()
+            explored = state.explored_cycles
             tied_cycles = [
-                leaf
-                for leaf in live_outside
-                if cube_distance(leaf) == current_cube
-                and leaf.cubical not in state.explored_cycles
+                r
+                for r in live_outside
+                if r[0] < cube_ceiling and r[1] // d not in explored
             ]
-            tied_cycles.sort(key=lambda n: key_id.distance_to(n.id))
-            state.explored_cycles.add(current.cubical)
+            tied_cycles.sort(key=_closeness)
+            explored.add(cur_cub)
             # Re-entering an already-visited primary is allowed here:
             # the walk may have skimmed a tied cycle without examining
             # its members, and the explored_cycles guard bounds each
@@ -541,24 +558,6 @@ class CycloidNetwork(Network):
             primary, phase = collected[0]
             return primary, phase, timeouts, tuple(collected[1:5])
         return None, PHASE_TRAVERSE, timeouts, ()
-
-    def _phi(
-        self, node: CycloidNode, key_id: CycloidId
-    ) -> Tuple[int, int]:
-        """The §3.2 convergence potential: (prefix MSDB, cubical distance)."""
-        modulus = 1 << self.dimension
-        return (
-            msdb(node.cubical, key_id.cubical),
-            circular_distance(node.cubical, key_id.cubical, modulus),
-        )
-
-    @staticmethod
-    def _unique_leaves(node: CycloidNode) -> List[CycloidNode]:
-        unique: Dict[CycloidId, CycloidNode] = {}
-        for leaf in node.leaf_entries():
-            if leaf is not node:
-                unique.setdefault(leaf.id, leaf)
-        return list(unique.values())
 
     # ------------------------------------------------------------------
     # membership changes (§3.3)

@@ -24,7 +24,7 @@ from typing import Tuple
 
 from repro.util.bitops import clockwise_distance
 
-__all__ = ["CycloidId", "RingId", "cycloid_space_size"]
+__all__ = ["CycloidId", "RingId", "cycloid_cube_unit", "cycloid_space_size"]
 
 
 def cycloid_space_size(dimension: int) -> int:
@@ -32,6 +32,14 @@ def cycloid_space_size(dimension: int) -> int:
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     return dimension * (1 << dimension)
+
+
+def cycloid_cube_unit(dimension: int) -> int:
+    """Weight of one step of cubical distance in
+    :meth:`CycloidId.packed_distance_to`: ``packed // unit`` is the
+    cubical distance, so nodes as cubically far from a key as one at
+    distance ``c`` are exactly those in ``[c * unit, (c + 1) * unit)``."""
+    return 2 * (dimension + 1) * cycloid_space_size(dimension)
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,19 @@ class CycloidId:
             (other.cubical - self.cubical) * d + other.cyclic - self.cyclic
         ) % space
         return (cube, cyc, 0 if cw <= space >> 1 else 1, cw)
+
+    def packed_distance_to(self, other: "CycloidId") -> int:
+        """:meth:`distance_to` packed into one int, in the same order.
+
+        ``((cube * (d + 1) + cyc) * 2 + bias) * space + cw``: every
+        field is below its multiplier, so integer order is tuple order,
+        and distinct ids never tie.  The columnar kernel ranks by the
+        same encoding (``CycloidKernel._packed_from``);
+        :func:`cycloid_cube_unit` recovers the cubical distance.
+        """
+        cube, cyc, bias, cw = self.distance_to(other)
+        d = self.dimension
+        return ((cube * (d + 1) + cyc) * 2 + bias) * (d << d) + cw
 
     def closer_of(self, a: "CycloidId", b: "CycloidId") -> "CycloidId":
         """The closer of ``a`` and ``b`` to self under :meth:`distance_to`."""

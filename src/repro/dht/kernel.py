@@ -902,7 +902,7 @@ class CycloidKernel(_KernelBase):
         klin_c = klin[:, None]
 
         # Leaf matrix in leaf_entries() order ([IL, IR, OL, OR]),
-        # keep-first deduped by id (the `_unique_leaves` list), self
+        # keep-first deduped by id (the engine's `leaves`), self
         # excluded by identity.  The inside/outside segments below are
         # column slices of it, so node attributes and packed distances
         # are gathered once here.

@@ -775,6 +775,9 @@ async def _churnstorm(
         if tasks:
             await asyncio.gather(*tasks)
 
+    #: victim name -> the server that hosted it when it was crashed.
+    homes: Dict[str, List[object]] = {}
+
     async def drive_churn() -> None:
         for event in events:
             delay = event.time - now()
@@ -790,17 +793,30 @@ async def _churnstorm(
                     if event.node not in directory:
                         entry["skipped"] = "not in directory"
                     else:
+                        home = list(directory[event.node])
                         reply = await control.crash(event.node)
+                        homes[event.node] = home
                         entry.update(
+                            server=home,
                             lost_pairs=reply.get("lost_pairs"),
                             route_repairs=reply.get("route_repairs"),
                             repushed_pairs=reply.get("repushed_pairs"),
                             repair_ms=reply.get("repair_ms"),
                         )
                 else:
-                    via = sorted(directory)[0]
+                    # Rejoin through a live name on the victim's old
+                    # server.  On a complete overlay the victim's id is
+                    # the only free one when its rejoin fires, so the
+                    # join takes it and lands back on that server's arc.
+                    home = homes.get(event.node)
+                    names = sorted(directory)
+                    via = next(
+                        (n for n in names if list(directory[n]) == home),
+                        names[0],
+                    )
                     reply = await control.join(event.node, via)
                     entry.update(
+                        server=list(directory[event.node]),
                         repushed_pairs=reply.get("repushed_pairs"),
                     )
             except ClusterError as exc:

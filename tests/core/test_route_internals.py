@@ -1,5 +1,7 @@
 """Tests for Cycloid routing internals: arc test, route state, handoff."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,6 +70,23 @@ class TestRouteState:
         state = _RouteState(CycloidId(0, 0, 4))
         assert not state.visited
         assert not state.explored_cycles
+
+    def test_closeness_computed_once_per_node_per_route(self, monkeypatch):
+        network = CycloidNetwork.with_random_ids(150, 6, seed=8)
+        nodes = network.live_nodes()
+        calls = Counter()
+        packed = CycloidId.packed_distance_to
+
+        def counting(key, other):
+            calls[other.linear] += 1
+            return packed(key, other)
+
+        monkeypatch.setattr(CycloidId, "packed_distance_to", counting)
+        for index in range(40):
+            calls.clear()
+            record = network.route(nodes[index], network.key_id(index))
+            assert record.success
+            assert calls and max(calls.values()) == 1
 
 
 class TestBestObservedHandoff:

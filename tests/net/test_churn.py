@@ -275,6 +275,30 @@ class TestChurnstorm:
 
         validate_net_report(report)
 
+    def test_rejoined_nodes_return_to_their_servers(self):
+        """A rejoin goes through a name on the victim's old server, so
+        arc placement survives the storm."""
+        report = run_churnstorm(
+            {"protocol": "cycloid", "dimension": 4, "seed": 42,
+             "nodes": 16},
+            servers=4,
+            replicas=2,
+            rate=250.0,
+            operations=60,
+            churn=ChurnPlan(seed=7, kills=4, rejoin=True),
+            seed=11,
+            clients=4,
+        )
+        events = report["churn"]["events"]
+        homes = {
+            e["node"]: e["server"] for e in events if e["action"] == "crash"
+        }
+        joins = [e for e in events if e["action"] == "join"]
+        assert len(joins) == 4 and len(homes) == 4
+        assert len({tuple(server) for server in homes.values()}) > 1
+        for join in joins:
+            assert join["server"] == homes[join["node"]], join
+
     def test_open_workload_is_seed_deterministic(self):
         a = make_open_operations(50, seed=3, rate=100.0)
         b = make_open_operations(50, seed=3, rate=100.0)

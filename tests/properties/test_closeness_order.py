@@ -7,7 +7,10 @@ one int64 (``CycloidKernel._packed_from``).  Two properties tie them:
 * ``distance_to`` equals the reference formula written with the
   ``repro.util.bitops`` helpers (the definition it was derived from);
 * sorting node ids by the tuple and by the packed int64 gives the same
-  order, so both tiers pick the same owner and the same next hop.
+  order, so both tiers pick the same owner and the same next hop;
+* the object engine's scalar :meth:`CycloidId.packed_distance_to` is
+  the kernel's int64 value for value, so both tiers rank by one
+  encoding.
 """
 
 from __future__ import annotations
@@ -19,7 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CycloidNetwork
-from repro.dht.identifiers import CycloidId, cycloid_space_size
+from repro.dht.identifiers import (
+    CycloidId,
+    cycloid_cube_unit,
+    cycloid_space_size,
+)
 from repro.dht.kernel import CycloidKernel
 from repro.util.bitops import circular_distance, clockwise_distance
 
@@ -57,8 +64,11 @@ def key_and_nodes(draw):
 @given(key_and_nodes())
 def test_distance_to_matches_reference(case):
     key, nodes = case
+    cube_unit = cycloid_cube_unit(key.dimension)
     for node in nodes:
-        assert key.distance_to(node) == reference_distance(key, node)
+        reference = reference_distance(key, node)
+        assert key.distance_to(node) == reference
+        assert key.packed_distance_to(node) // cube_unit == reference[0]
 
 
 @settings(deadline=None, max_examples=100)
@@ -72,10 +82,13 @@ def test_tuple_order_matches_packed_int64(case):
     packed = kernel_for(key.dimension)._packed_from(
         *columns, key.cubical, key.cyclic, key.linear
     )
+    # The object engine's scalar form is the kernel's, value for value.
+    scalar = [key.packed_distance_to(node) for node in nodes]
+    assert scalar == packed.tolist()
     order = range(len(nodes))
     by_tuple = sorted(order, key=lambda i: key.distance_to(nodes[i]))
     by_packed = sorted(order, key=lambda i: int(packed[i]))
-    assert by_tuple == by_packed
+    assert by_tuple == by_packed == sorted(order, key=scalar.__getitem__)
     # Strict on both sides: distinct ids never tie.
     assert len(set(packed.tolist())) == len(nodes)
 
@@ -83,3 +96,5 @@ def test_tuple_order_matches_packed_int64(case):
 def test_mixed_dimensions_rejected():
     with pytest.raises(ValueError):
         CycloidId(0, 0, 3).distance_to(CycloidId(0, 0, 4))
+    with pytest.raises(ValueError):
+        CycloidId(0, 0, 3).packed_distance_to(CycloidId(0, 0, 4))
