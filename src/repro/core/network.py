@@ -62,6 +62,15 @@ PHASE_TRAVERSE = "traverse"
 _closeness = itemgetter(0)
 
 
+def _same_ids(old: List[CycloidNode], new: List[CycloidNode]) -> bool:
+    """Whether two leaf runs hold the same identifiers in order.  Nodes
+    compare by identity, so the common case is one list comparison; a
+    node that rejoined under the same id still matches, by id."""
+    return old == new or (
+        len(old) == len(new) and all(a.id == b.id for a, b in zip(old, new))
+    )
+
+
 def _in_cubical_arc(point: int, left: int, right: int, modulus: int) -> bool:
     """True iff ``point`` lies on the closed clockwise arc [left, right].
 
@@ -719,11 +728,13 @@ class CycloidNetwork(Network):
         Returns whether anything changed (used for maintenance-cost
         accounting: an unchanged node would not have been messaged).
         """
+        # The wiring below assigns fresh lists, never mutates the old
+        # ones, so these references keep the previous runs.
         before = (
-            [n.id for n in node.inside_left],
-            [n.id for n in node.inside_right],
-            [n.id for n in node.outside_left],
-            [n.id for n in node.outside_right],
+            node.inside_left,
+            node.inside_right,
+            node.outside_left,
+            node.outside_right,
         )
         cycle = self.topology.cycle_members(node.cubical)
         radius = self.leaf_radius
@@ -752,12 +763,12 @@ class CycloidNetwork(Network):
             for c in self.topology.succeeding_cycles(node.cubical, radius)
         ]
         after = (
-            [n.id for n in node.inside_left],
-            [n.id for n in node.inside_right],
-            [n.id for n in node.outside_left],
-            [n.id for n in node.outside_right],
+            node.inside_left,
+            node.inside_right,
+            node.outside_left,
+            node.outside_right,
         )
-        return before != after
+        return not all(map(_same_ids, before, after))
 
     def _outside_pick(self, node: CycloidNode, cubical: int) -> CycloidNode:
         """The outside-leaf representative of remote cycle ``cubical``

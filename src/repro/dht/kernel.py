@@ -35,11 +35,15 @@ and query-load counters, pinned by the kernel parity suite.
 Viceroy's links are a pure function of the live membership, so its
 kernel has no dead nodes, no candidate matrices and no timeouts: each
 link is one index column, and each row carries the butterfly's
-ascend → descend → traverse stage from wave to wave.
+ascend → descend → traverse stage from wave to wave.  Chord and Koorde
+share one ring-family base (ids, successor runs, predecessors, the
+successor owner oracle, the ``(pred, id]`` stop test and the masked
+first-live gather); Koorde adds its de Bruijn chain and carries the
+imaginary-node walk as per-row columns.
 
 **Fallback rules** (documented, deliberate): the columnar path runs
 only for protocols with a registered compiler — Cycloid (both leaf
-radii), Chord and Viceroy; Koorde, Pastry and CAN take the object
+radii), Chord, Koorde and Viceroy; Pastry and CAN take the object
 engine — only without a per-hop trace observer, and only when no
 *active* fault injector is attached.  Fault-mode batches are
 inherently sequential — probe verdicts consume the injector's loss RNG
@@ -292,13 +296,18 @@ def _intern_universe(live_nodes, pointer_slots):
     return nodes, index
 
 
-def _pad_matrix(rows: Sequence[Sequence[int]], width: int, dtype="int32"):
-    """Stack variable-length index runs into an ``-1``-padded matrix.
+def _pad_matrix(
+    rows: Sequence[Sequence[int]], width: Optional[int] = None, dtype="int32"
+):
+    """Stack variable-length index runs into an ``-1``-padded matrix,
+    ``width`` columns wide (default: the longest run, at least one).
 
     Index matrices default to ``int32``: node indices are bounded by
     the population, and halving the gather bandwidth is measurable at
     scale.  Value matrices pass ``dtype="int64"`` explicitly.
     """
+    if width is None:
+        width = max(max(map(len, rows), default=0), 1)
     out = np.full((len(rows), width), -1, dtype=dtype)
     for i, row in enumerate(rows):
         if row:
@@ -330,6 +339,19 @@ def _first_true(mask):
     width = mask.shape[1]
     pos = np.argmax(mask, axis=1)
     return np.where(mask.any(axis=1), pos, width)
+
+
+def _timeouts_before(ids, dead, pos):
+    """Per row, the dead candidates at columns before ``pos``, each
+    identifier counted once — the engine's ``dead_tried`` / ``seen``
+    dedupe."""
+    width = dead.shape[1]
+    fresh = dead.copy()
+    for j in range(1, width):
+        fresh[:, j] &= ~(
+            (ids[:, :j] == ids[:, j : j + 1]) & dead[:, :j]
+        ).any(axis=1)
+    return (fresh & (np.arange(width) < pos[:, None])).sum(axis=1)
 
 
 def _sort_segment(key, *arrays):
@@ -1137,17 +1159,9 @@ class CycloidKernel(_KernelBase):
         if all_alive:
             wave_touts = np.zeros(m, dtype=np.int64)
         else:
-            cand_id = np.where(valid, self.lin[cand_safe], -1)
-            cand_dead = valid & ~self.alive[cand_safe]
-            dup = np.zeros_like(cand_dead)
-            for j in range(1, width):
-                dup[:, j] = (
-                    (cand_id[:, :j] == cand_id[:, j : j + 1])
-                    & cand_dead[:, :j]
-                ).any(axis=1)
-            wave_touts = (
-                cand_dead & ~dup & (positions[None, :] < accept_pos[:, None])
-            ).sum(axis=1)
+            wave_touts = _timeouts_before(
+                self.lin[cand_safe], valid & ~self.alive[cand_safe], accept_pos
+            )
 
         # Observe routing-table candidates actually iterated (segments
         # 2 and 3; every other segment is a leaf subset, observed
@@ -1200,79 +1214,148 @@ class CycloidKernel(_KernelBase):
 
 
 # ----------------------------------------------------------------------
-# Chord
+# Ring family: Chord and Koorde
 # ----------------------------------------------------------------------
 
 
-@_register("chord")
-class ChordKernel(_KernelBase):
-    """Compiled Chord routing (chord/network.py's fault-free cascade).
+class _RingKernel(_KernelBase):
+    """The columns and wave steps Chord and Koorde share.
 
     Memory layout: per-node int64 ``ids`` plus a bool ``alive`` mask;
-    the finger table as an ``[n, bits]`` index matrix (``-1`` for
-    stale-void entries); the successor list as an ``[n, r]`` run padded
-    with ``-1``; the predecessor as one index column.  The owner oracle
-    is a ``searchsorted`` over the sorted live identifiers — the ring's
-    successor scan."""
+    the successor list as an ``[n, r]`` index run padded with ``-1``,
+    its length in ``succ_len``; the predecessor as one index column;
+    and the live ids sorted (``live_sorted_ids``, beside their indices
+    in ``live_sorted_idx``) for the ``searchsorted`` owner oracle — the
+    ring's successor scan."""
 
-    PHASES = ("finger", "successor")
-    _FINGER, _SUCC = 0, 1
-
-    def __init__(self, network) -> None:
+    def _compile_ring(self, network, pointers) -> None:
+        """Intern the universe over each live node's ``pointers(node)``,
+        successors and predecessor, and extract the ring columns.  Dead
+        nodes are pointed at, never routed from: their rows stay empty."""
         self.network = network
         self.hop_limit = network.HOP_LIMIT
         self.bits = network.bits
         self.modulus = network.ring.modulus
 
         def slots(node):
-            yield from node.fingers
+            yield from pointers(node)
             yield from node.successors
             yield node.predecessor
 
-        live = list(network.live_nodes())
-        nodes, index = _intern_universe(live, slots)
+        nodes, index = _intern_universe(list(network.live_nodes()), slots)
         self.nodes = nodes
         self.index = index
         self.names = [node.name for node in nodes]
         count = len(nodes)
         self.ids = np.fromiter((n.id for n in nodes), np.int64, count)
         self.alive = np.fromiter((n.alive for n in nodes), bool, count)
-
-        def ref(target) -> int:
-            return -1 if target is None else index[id(target)]
-
-        bits = network.bits
-        # Dead nodes are pointed at, never routed from: empty columns.
-        self.fingers = _pad_matrix(
-            [[ref(f) for f in n.fingers] if n.alive else [] for n in nodes],
-            bits,
-        )
-        succ_width = max(
-            (len(n.successors) for n in nodes if n.alive), default=1
-        )
-        succ_width = max(succ_width, 1)
-        self.successors = _pad_matrix(
-            [
-                [index[id(s)] for s in n.successors] if n.alive else []
-                for n in nodes
-            ],
-            succ_width,
-        )
-        self.succ_len = np.fromiter(
-            (len(n.successors) if n.alive else 0 for n in nodes),
-            np.int64,
-            count,
-        )
+        runs = [
+            [index[id(s)] for s in n.successors] if n.alive else []
+            for n in nodes
+        ]
+        self.successors = _pad_matrix(runs)
+        self.succ_len = np.fromiter(map(len, runs), np.int64, count)
         self.pred = np.fromiter(
-            (ref(n.predecessor) if n.alive else -1 for n in nodes),
+            (self._ref(n.predecessor) if n.alive else -1 for n in nodes),
             np.int32,
             count,
         )
-        order = np.argsort(self.ids[self.alive], kind="stable")
         live_idx = np.flatnonzero(self.alive)
-        self.live_sorted_ids = self.ids[self.alive][order]
+        order = np.argsort(self.ids[live_idx], kind="stable")
+        self.live_sorted_ids = self.ids[live_idx][order]
         self.live_sorted_idx = live_idx[order].astype(np.int32)
         self.all_alive = bool(self.alive.all())
+
+    def _ref(self, target) -> int:
+        return -1 if target is None else self.index[id(target)]
+
+    def run(self, sources, key_ids) -> List[LookupRecord]:
+        self.network.fault_detection = False
+        batch = len(sources)
+        index = self.index
+        cur = np.fromiter(
+            (index[id(source)] for source in sources), np.int64, batch
+        )
+        if not bool(self.alive[cur].all()):
+            raise ValueError("lookup source must be alive")
+        keys = np.fromiter(key_ids, np.int64, batch)
+
+        return self._finish(sources, key_ids, *self._execute(cur, keys))
+
+    def _owners(self, keys):
+        """Ground truth per lookup: the key's live successor."""
+        slot = np.searchsorted(self.live_sorted_ids, keys)
+        slot[slot == self.live_sorted_ids.size] = 0
+        return self.live_sorted_idx[slot]
+
+    def _stops(self, current, cur_id, keys):
+        """The terminate rule both protocols open with: the node holds
+        the key's id, has no successor (a singleton owns every key), or
+        believes it is responsible — the key lies in (pred, id]."""
+        pred = self.pred[current]
+        believes = (pred >= 0) & _in_interval(
+            keys, self.ids[np.maximum(pred, 0)], cur_id, self.modulus
+        )
+        return (cur_id == keys) | (self.succ_len[current] == 0) | believes
+
+    def _waves(self, cur, keys, done, hops):
+        """Yield each wave's ``(rows, current, cur_id, key)`` for the
+        rows still routing past the stop test; stopped rows are marked
+        done.  The caller advances ``cur``/``hops``/``done`` between
+        waves."""
+        while True:
+            rows = np.flatnonzero(~done & (hops < self.hop_limit))
+            if rows.size == 0:
+                return
+            current = cur[rows]
+            cur_id = self.ids[current]
+            key = keys[rows]
+            stop = self._stops(current, cur_id, key)
+            if stop.any():
+                done[rows[stop]] = True
+                go = ~stop
+                rows, current, cur_id, key = (
+                    rows[go], current[go], cur_id[go], key[go]
+                )
+            if rows.size:
+                yield rows, current, cur_id, key
+
+    def _first_live(self, cand, valid, charged=None):
+        """Per row, the position of the first live valid candidate
+        (``width`` when there is none) and the timeouts paid before it:
+        one per dead valid candidate at an earlier position among the
+        first ``charged`` columns (all by default), deduplicated by
+        identifier as the engine's ``seen`` sets are."""
+        if self.all_alive:
+            return _first_true(valid), np.zeros(cand.shape[0], np.int64)
+        safe = np.maximum(cand, 0)
+        is_alive = self.alive[safe]
+        pos = _first_true(valid & is_alive)
+        dead = (valid & ~is_alive)[:, :charged]
+        return pos, _timeouts_before(self.ids[safe[:, :charged]], dead, pos)
+
+
+@_register("chord")
+class ChordKernel(_RingKernel):
+    """Compiled Chord routing (chord/network.py's fault-free cascade).
+
+    Memory layout: the ring columns of :class:`_RingKernel` plus the
+    finger table as an ``[n, bits]`` index matrix (``-1`` for
+    stale-void entries)."""
+
+    PHASES = ("finger", "successor")
+    _FINGER, _SUCC = 0, 1
+
+    def __init__(self, network) -> None:
+        self._compile_ring(network, lambda node: node.fingers)
+        ref = self._ref
+        self.fingers = _pad_matrix(
+            [
+                [ref(f) for f in n.fingers] if n.alive else []
+                for n in self.nodes
+            ],
+            self.bits,
+        )
         self._finalize()
 
     @classmethod
@@ -1324,19 +1407,6 @@ class ChordKernel(_KernelBase):
             ]
         )
 
-    def run(self, sources, key_ids) -> List[LookupRecord]:
-        self.network.fault_detection = False
-        batch = len(sources)
-        index = self.index
-        cur = np.fromiter(
-            (index[id(source)] for source in sources), np.int64, batch
-        )
-        if not bool(self.alive[cur].all()):
-            raise ValueError("lookup source must be alive")
-        keys = np.fromiter(key_ids, np.int64, batch)
-
-        return self._finish(sources, key_ids, *self._execute(cur, keys))
-
     def run_ids(self, source_idx, keys) -> Dict[str, object]:
         """Array-mode batch: node-index sources, ring-id keys.  The
         record-free counterpart of :meth:`run` — see
@@ -1358,55 +1428,22 @@ class ChordKernel(_KernelBase):
 
     def _execute(self, cur, keys):
         batch = cur.shape[0]
-        # Ground truth: the key's live successor.
-        slot = np.searchsorted(self.live_sorted_ids, keys)
-        slot[slot == self.live_sorted_ids.size] = 0
-        owners = self.live_sorted_idx[slot]
-
+        owners = self._owners(keys)
         hops = np.zeros(batch, dtype=np.int64)
         timeouts = np.zeros(batch, dtype=np.int64)
         phase_counts = np.zeros((batch, 2), dtype=np.int64)
         done = np.zeros(batch, dtype=bool)
         failed = np.zeros(batch, dtype=bool)
         hop_log: List[Tuple] = []
-        hop_limit = self.hop_limit
         bits = self.bits
         succ_width = self.successors.shape[1]
 
-        while True:
-            active = ~done & (hops < hop_limit)
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
-            current = cur[rows]
-            cur_id = self.ids[current]
-            key = keys[rows]
-
-            # Terminate when the node believes it is responsible.
-            pred = self.pred[current]
-            pred_id = self.ids[np.maximum(pred, 0)]
-            believes = np.where(
-                pred < 0,
-                self.succ_len[current] == 0,
-                _in_interval(key, pred_id, cur_id, self.modulus),
-            )
-            # Singleton / orphaned node: _choose_next returns `current`
-            # and the engine terminates on the spot.
-            stop = (cur_id == key) | believes | (self.succ_len[current] == 0)
-            if stop.any():
-                done[rows[stop]] = True
-                rows = rows[~stop]
-                if rows.size == 0:
-                    continue
-                current = cur[rows]
-                cur_id = self.ids[current]
-                key = keys[rows]
-
+        # A singleton or orphaned node stops in `_waves`: _choose_next
+        # returns `current` and the engine terminates on the spot.
+        for rows, current, cur_id, key in self._waves(cur, keys, done, hops):
             m = rows.size
             succ = self.successors[current]
-            succ_safe = np.maximum(succ, 0)
-            succ_id = self.ids[succ_safe]
-            believed_id = succ_id[:, 0]  # succ_len >= 1 here
+            believed_id = self.ids[succ[:, 0]]  # succ_len >= 1 here
             delivering = _in_interval(key, cur_id, believed_id, self.modulus)
 
             # Segment A — the believed-successor walk (delivery step).
@@ -1449,34 +1486,9 @@ class ChordKernel(_KernelBase):
                 [seg_a_valid, seg_b_valid, seg_c_valid], axis=1
             )
             width = cand.shape[1]
-            positions = np.arange(width, dtype=np.int64)
             c_start = succ_width + ptr_w
-            cand_safe = np.maximum(cand, 0)
-            acceptable = (
-                valid if self.all_alive else valid & self.alive[cand_safe]
-            )
-            accept_pos = _first_true(acceptable)
-
-            # A fully-live universe forwards on the first valid
-            # candidate and never times out.
-            if not self.all_alive:
-                cand_id = np.where(valid, self.ids[cand_safe], -1)
-                cand_dead = (
-                    valid
-                    & ~self.alive[cand_safe]
-                    & (positions[None, :] < c_start)
-                )
-                dup = np.zeros_like(cand_dead)
-                for j in range(1, c_start):
-                    dup[:, j] = (
-                        (cand_id[:, :j] == cand_id[:, j : j + 1])
-                        & cand_dead[:, :j]
-                    ).any(axis=1)
-                timeouts[rows] += (
-                    cand_dead
-                    & ~dup
-                    & (positions[None, :] < accept_pos[:, None])
-                ).sum(axis=1)
+            accept_pos, wave_touts = self._first_live(cand, valid, c_start)
+            timeouts[rows] += wave_touts
 
             accepted = accept_pos < width
             gather = np.minimum(accept_pos, width - 1)
@@ -1507,6 +1519,122 @@ class ChordKernel(_KernelBase):
             dead_end = ~accepted
             done[rows[dead_end]] = True
             failed[rows[dead_end]] = True
+
+        success = ~failed & (cur == owners)
+        return hops, timeouts, success, phase_counts, cur, hop_log
+
+
+def _pick(matrix, pos):
+    """Per row, ``matrix[row, pos[row]]``; ``-1`` where ``pos`` is past
+    the last column."""
+    width = matrix.shape[1]
+    picked = matrix[np.arange(matrix.shape[0]), np.minimum(pos, width - 1)]
+    return np.where(pos < width, picked, -1)
+
+
+@_register("koorde")
+class KoordeKernel(_RingKernel):
+    """Compiled Koorde routing (koorde/network.py's fault-free cascade).
+
+    Memory layout: the ring columns of :class:`_RingKernel` plus the de
+    Bruijn chain — the pointer, then its backups, closest first — as
+    an ``[n, 1 + DEBRUIJN_BACKUPS]`` index matrix padded with ``-1``
+    (narrower only on rings of fewer than four nodes).
+
+    Per-lookup walk state mirrors ``_ImaginaryWalk``: int64 columns
+    ``imaginary`` (the imaginary de Bruijn node), ``kshift`` (the key,
+    its next bit on top) and ``bits_left``, one entry per row.  A wave
+    runs ``next_hop``'s cascade — terminate, delivery step, de Bruijn
+    shift, correction step.  A row whose first live chain node is the
+    current node shifts and decides again in the same wave: no hop is
+    counted and the shift's timeouts are kept, as ``step_route``
+    absorbs ``advance`` decisions."""
+
+    PHASES = ("de_bruijn", "successor")
+    _DEBRUIJN, _SUCC = 0, 1
+
+    def __init__(self, network) -> None:
+        self._compile_ring(network, lambda node: node.debruijn_chain())
+        index = self.index
+        self.chain = _pad_matrix(
+            [
+                [index[id(t)] for t in n.debruijn_chain()] if n.alive else []
+                for n in self.nodes
+            ]
+        )
+
+    def _execute(self, cur, keys):
+        batch = cur.shape[0]
+        owners = self._owners(keys)
+        ids, modulus, top = self.ids, self.modulus, self.bits - 1
+        # begin_route: the imaginary node starts at the source, with
+        # every bit of the key still to shift in.
+        imaginary = ids[cur]
+        kshift = keys.copy()
+        bits_left = np.full(batch, self.bits, dtype=np.int64)
+        hops = np.zeros(batch, dtype=np.int64)
+        timeouts = np.zeros(batch, dtype=np.int64)
+        phase_counts = np.zeros((batch, 2), dtype=np.int64)
+        done = np.zeros(batch, dtype=bool)
+        failed = np.zeros(batch, dtype=bool)
+        hop_log: List[Tuple] = []
+
+        def hosts(at, cur_id, span):
+            """The de Bruijn gate: bits remain and the imaginary node
+            lies in [current, successor)."""
+            return (bits_left[at] > 0) & (
+                (imaginary[at] - cur_id) % modulus < span
+            )
+
+        def shift(at) -> None:
+            imaginary[at] = (
+                (imaginary[at] << 1) | ((kshift[at] >> top) & 1)
+            ) % modulus
+            kshift[at] = (kshift[at] << 1) % modulus
+            bits_left[at] -= 1
+
+        for rows, current, cur_id, key in self._waves(cur, keys, done, hops):
+            succ = self.successors[current]
+            believed_id = ids[succ[:, 0]]  # succ_len >= 1 here
+            delivering = _in_interval(key, cur_id, believed_id, modulus)
+            span = (believed_id - cur_id) % modulus
+            succ_pos, succ_touts = self._first_live(succ, succ >= 0)
+            chain = self.chain[current]
+            chain_pos, chain_touts = self._first_live(chain, chain >= 0)
+            chain_next = _pick(chain, chain_pos)
+
+            # Advances: a row whose chain resolves to the node itself
+            # shifts for free (keeping the chain's timeouts) until the
+            # gate closes; the chain's pick cannot change meanwhile.
+            hosting = ~delivering & hosts(rows, cur_id, span)
+            wave_touts = np.zeros(rows.size, dtype=np.int64)
+            loop = np.flatnonzero(hosting & (chain_next == current))
+            while loop.size:
+                shift(rows[loop])
+                wave_touts[loop] += chain_touts[loop]
+                again = hosts(rows[loop], cur_id[loop], span[loop])
+                hosting[loop] = again
+                loop = loop[again]
+
+            # A de Bruijn hop consumes its bit before the message
+            # leaves (a dead chain fails the lookup, whose walk is then
+            # never read).  Every other row takes the first live
+            # successor: a delivery step (terminal) or a correction
+            # step.
+            shift(rows[hosting])
+            nxt = np.where(hosting, chain_next, _pick(succ, succ_pos))
+            wave_touts += np.where(hosting, chain_touts, succ_touts)
+            timeouts[rows] += wave_touts
+            forwarded = nxt >= 0
+            go = rows[forwarded]
+            targets = nxt[forwarded].astype(np.int64)
+            cur[go] = targets
+            hops[go] += 1
+            pcode = np.where(hosting, self._DEBRUIJN, self._SUCC)
+            phase_counts[go, pcode[forwarded]] += 1
+            hop_log.append((go, targets))
+            done[rows[delivering | ~forwarded]] = True
+            failed[rows[~forwarded]] = True
 
         success = ~failed & (cur == owners)
         return hops, timeouts, success, phase_counts, cur, hop_log

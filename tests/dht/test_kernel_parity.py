@@ -4,9 +4,9 @@ The contract of DESIGN §S23 is that the execution backend is invisible
 in the results: the columnar kernel (:mod:`repro.dht.kernel`) must
 produce byte-identical :class:`LookupRecord` streams, digests and
 query-count tallies for every overlay configuration — natively compiled
-for Cycloid, Chord and Viceroy, via the documented object-engine
-fallback everywhere else (other protocols, trace observers, active fault
-plans).  These tests pin that equivalence across the full registry,
+for Cycloid, Chord, Koorde and Viceroy, via the documented
+object-engine fallback everywhere else (Pastry, CAN, trace observers,
+active fault plans).  These tests pin that equivalence across the full registry,
 worker counts, fault plans and a hypothesis sweep of seeds, batch
 sizes and worker counts, plus the actionable-error contract of the
 ``backend`` selector.
@@ -24,6 +24,7 @@ from repro.cli import build_parser
 from repro.dht.kernel import (
     BACKENDS,
     DEFAULT_BACKEND,
+    KoordeKernel,
     ViceroyKernel,
     check_backend,
     columnar_protocols,
@@ -40,6 +41,7 @@ from repro.experiments.bench import (
 )
 from repro.experiments.common import run_lookups
 from repro.experiments.registry import ALL_PROTOCOLS, build_complete_network
+from repro.koorde import KoordeNetwork
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.parallel import plain_setup, run_sharded_lookups
 from repro.sim.workload import lookup_workload
@@ -165,6 +167,13 @@ DIRECT_CONFIGS = {
     "chord-departures": lambda: _departed(
         build_complete_network("chord", DIMENSION, seed=SEED)
     ),
+    "koorde": lambda: build_complete_network("koorde", DIMENSION, seed=SEED),
+    "koorde-departures": lambda: _departed(
+        build_complete_network("koorde", DIMENSION, seed=SEED)
+    ),
+    # Random ids on an 11-bit ring; node 8 has no node in (8, 16], so its
+    # de Bruijn pointer is itself and its shifts are message-free.
+    "koorde-sparse": lambda: KoordeNetwork.with_random_ids(300, 11, seed=1),
 }
 
 
@@ -183,6 +192,32 @@ def test_departed_networks_produce_timeouts():
         DIRECT_CONFIGS["cycloid-departures"], "columnar"
     )
     assert sum(record.timeouts for record in records) > 0
+
+
+def test_koorde_configs_exercise_advances_and_timeouts():
+    """The Koorde departures config times out on stale pointers, and
+    the sparse config holds a node whose de Bruijn pointer is itself:
+    its workload routes through the message-free ``advance`` decisions
+    the kernel folds into a wave."""
+    records, _ = _lookup_many_records(
+        DIRECT_CONFIGS["koorde-departures"], "columnar"
+    )
+    assert sum(record.timeouts for record in records) > 0
+    network = DIRECT_CONFIGS["koorde-sparse"]()
+    assert any(node.debruijn is node for node in network.live_nodes())
+    advances = 0
+    next_hop = network.next_hop
+
+    def counting(current, key_id, walk):
+        nonlocal advances
+        decision = next_hop(current, key_id, walk)
+        advances += decision.node is None and not decision.terminal
+        return decision
+
+    network.next_hop = counting
+    pairs = list(lookup_workload(network, 300, make_rng(SEED + 2)))
+    network.lookup_many(pairs, backend="object")
+    assert advances > 0
 
 
 @settings(max_examples=8, deadline=None)
@@ -234,7 +269,7 @@ def test_observer_forces_object_fallback_bit_exact():
 
 
 def test_columnar_protocol_registry():
-    assert columnar_protocols() == ("chord", "cycloid", "viceroy")
+    assert columnar_protocols() == ("chord", "cycloid", "koorde", "viceroy")
     assert supports_columnar(
         build_complete_network("cycloid", 3, seed=SEED)
     )
@@ -242,9 +277,11 @@ def test_columnar_protocol_registry():
     assert supports_columnar(
         build_complete_network("cycloid-11", 3, seed=SEED)
     )
-    assert not supports_columnar(
-        build_complete_network("koorde", 3, seed=SEED)
-    )
+    assert supports_columnar(build_complete_network("koorde", 3, seed=SEED))
+    for protocol in ("pastry", "can"):
+        assert not supports_columnar(
+            build_complete_network(protocol, 3, seed=SEED)
+        )
 
 
 class TestBackendErrors:
@@ -302,7 +339,24 @@ class TestBackendErrors:
             is None
         )
         koorde = build_complete_network("koorde", 3, seed=SEED)
-        assert compile_kernel(koorde, backend="columnar") is None
+        assert isinstance(
+            compile_kernel(koorde, backend="columnar"), KoordeKernel
+        )
+        assert (
+            compile_kernel(
+                koorde, backend="columnar", observer=RecordingTracer()
+            )
+            is None
+        )
+        assert (
+            compile_kernel(
+                koorde, backend="columnar", injector=FaultInjector(FAULT_PLAN)
+            )
+            is None
+        )
+        for protocol in ("pastry", "can"):
+            other = build_complete_network(protocol, 3, seed=SEED)
+            assert compile_kernel(other, backend="columnar") is None
 
     def test_run_lookups_rejects_unknown_backend(self):
         network = build_complete_network("cycloid", 3, seed=SEED)
@@ -602,3 +656,64 @@ def test_viceroy_kernel_rejects_departed_source():
     for backend in BACKENDS:
         with pytest.raises(ValueError, match="must be alive"):
             network.route_many([(gone, 0)], backend=backend)
+
+
+# ----------------------------------------------------------------------
+# Koorde: the de Bruijn kernel against KoordeNetwork.next_hop
+# ----------------------------------------------------------------------
+
+
+def _koorde_departed():
+    """A complete 6-bit ring after ~20% graceful departures: stale de
+    Bruijn chains and successor runs, so timeouts and dead ends."""
+    return _departed(KoordeNetwork.complete(6))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [partial(KoordeNetwork.complete, 6), _koorde_departed],
+    ids=["complete-6", "departed-6"],
+)
+def test_koorde_kernel_matches_object_engine_on_every_pair(build):
+    """Every (live source, key id) pair of a 6-bit ring routes to the
+    same records and query counters on both backends."""
+    runs = []
+    for backend in BACKENDS:
+        network = build()
+        pairs = [
+            (source, key)
+            for source in network.live_nodes()
+            for key in range(1 << network.bits)
+        ]
+        records = network.route_many(pairs, backend=backend)
+        runs.append((records, network._query_counts))
+    (obj_records, obj_counts), (col_records, col_counts) = runs
+    assert col_records == obj_records
+    assert col_counts == obj_counts
+    if build is _koorde_departed:
+        assert sum(record.timeouts for record in obj_records) > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    count=st.integers(min_value=1, max_value=200),
+    bits=st.sampled_from((8, 11)),
+    seed=st.integers(min_value=0, max_value=2**16),
+    departures=st.sampled_from(("none", "leave", "fail")),
+)
+def test_koorde_parity_property(count, bits, seed, departures):
+    """Property: whatever the population, ring size, seed and departure
+    mode (``fail`` leaves successor runs and predecessors stale too),
+    the kernel's records equal the object engine's."""
+    runs = []
+    for backend in BACKENDS:
+        network = KoordeNetwork.with_random_ids(count, bits, seed=seed)
+        if departures != "none":
+            rng = make_rng(seed + 7)
+            for node in list(network.live_nodes()):
+                if network.size > 1 and rng.random() < 0.25:
+                    getattr(network, departures)(node)
+        pairs = list(lookup_workload(network, 40, make_rng(seed)))
+        records = network.lookup_many(pairs, backend=backend)
+        runs.append((records, network._query_counts))
+    assert runs[0] == runs[1]

@@ -37,14 +37,17 @@ from tests.dht.test_routing_parity import (
 MODEL = LatencyModel(seed=97)
 
 #: Golden configs whose protocol has a columnar compiler (complete
-#: Cycloid builds at either leaf radius, Chord and Viceroy).
+#: Cycloid builds at either leaf radius, Chord, Koorde and Viceroy).
 _COLUMNAR_CONFIGS = (
     "cycloid-d5",
     "cycloid11-d5",
     "chord-512",
+    "koorde-512",
+    "koorde-complete-8",
     "viceroy-512",
     "cycloid-d5-departures",
     "chord-512-departures",
+    "koorde-512-departures",
 )
 
 

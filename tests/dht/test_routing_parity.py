@@ -49,6 +49,7 @@ CONFIGS = {
     "cycloid11-d5": lambda: CycloidNetwork.complete(5, leaf_radius=2),
     "chord-512": lambda: ChordNetwork.with_random_ids(512, 9, seed=7),
     "koorde-512": lambda: KoordeNetwork.with_random_ids(512, 9, seed=7),
+    "koorde-complete-8": lambda: KoordeNetwork.complete(8),
     "viceroy-512": lambda: ViceroyNetwork.with_random_ids(512, seed=7),
     "pastry-256": lambda: PastryNetwork.with_random_ids(256, seed=7),
     "can-64": lambda: CanNetwork.with_random_zones(64, seed=7),
@@ -62,7 +63,9 @@ CONFIGS = {
 }
 
 #: Captured from the seed implementation (commit cce17b9), 300 seeded
-#: lookups per configuration.
+#: lookups per configuration.  ``koorde-complete-8`` (a dense ring,
+#: where node 0's de Bruijn pointer is itself) was added later, captured
+#: on the object engine before Koorde gained a columnar kernel.
 GOLDEN = {
     "cycloid-d5": {
         "hops": 1467,
@@ -91,6 +94,13 @@ GOLDEN = {
         "successes": 300,
         "phases": {"de_bruijn": 2652, "successor": 1380},
         "sha256": "50c30fd0150037d9ec143be3021fac8ff9f31194825eaad08caecff9fb4afa7d",
+    },
+    "koorde-complete-8": {
+        "hops": 3516,
+        "timeouts": 0,
+        "successes": 300,
+        "phases": {"de_bruijn": 2312, "successor": 1204},
+        "sha256": "8a06df3754d5e82482f6533abfbfd083f20f98724ef9a8218bf804bf5e4c87d4",
     },
     "viceroy-512": {
         "hops": 6937,

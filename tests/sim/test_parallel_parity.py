@@ -30,6 +30,7 @@ from repro.dht.kernel import (
     BACKENDS,
     ChordKernel,
     CycloidKernel,
+    KoordeKernel,
     ViceroyKernel,
 )
 from repro.dht.metrics import LookupStats
@@ -237,7 +238,7 @@ def test_setup_runs_once_per_cell(tmp_path, workers, observer):
 def _counting_kernels(monkeypatch, calls_path: str) -> None:
     """Make every kernel compile append one line to ``calls_path`` (a
     file, so compiles in forked pool workers are counted too)."""
-    for cls in (CycloidKernel, ChordKernel, ViceroyKernel):
+    for cls in (CycloidKernel, ChordKernel, KoordeKernel, ViceroyKernel):
 
         def counted(self, network, _compile=cls.__init__):
             with open(calls_path, "a", encoding="utf-8") as handle:
@@ -248,7 +249,7 @@ def _counting_kernels(monkeypatch, calls_path: str) -> None:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("protocol", ["cycloid", "chord", "viceroy"])
+@pytest.mark.parametrize("protocol", ["cycloid", "chord", "koorde", "viceroy"])
 def test_fault_free_cell_compiles_once_per_process(
     tmp_path, monkeypatch, protocol, workers
 ):
