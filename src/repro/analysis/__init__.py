@@ -2,9 +2,6 @@
 
 from repro.analysis.report import (
     ascii_series,
-    format_bench_table,
-    format_clone_bench_table,
-    format_kernel_bench_table,
     format_table,
     series_by_protocol,
 )
@@ -13,7 +10,4 @@ __all__ = [
     "format_table",
     "ascii_series",
     "series_by_protocol",
-    "format_bench_table",
-    "format_clone_bench_table",
-    "format_kernel_bench_table",
 ]

@@ -16,7 +16,6 @@ Usage::
     python -m repro.cli fig-scale [--counts N ...] [--lookups N]
     python -m repro.cli maint [--lookups N]
     python -m repro.cli table1
-    python -m repro.cli bench [--workers N] [--output BENCH_parallel.json]
     python -m repro.cli serve [--protocol P] [--dimension D] [--servers N]
     python -m repro.cli loadgen [--clients N] [--lookups N] [--puts N]
     python -m repro.cli churnstorm [--replicas R] [--kills N] [--rate R]
@@ -26,15 +25,15 @@ size knobs so a laptop run can be scaled down.
 
 Every figure command accepts ``--workers N`` to fan its experiment out
 over N processes through :mod:`repro.sim.parallel`; the output is
-bit-identical at any worker count (``bench`` measures and checks
-exactly that).
+bit-identical at any worker count (``tests/sim/test_parallel_parity.py``
+and CI's parity step check exactly that).
 
 The pure-lookup commands (fig5/6/7, fig14, fig-crash) also accept
 ``--backend {object,columnar}``: ``object`` (default) routes each
 lookup hop-at-a-time over the node graph, ``columnar`` executes the
 whole batch as vectorized numpy sweeps (DESIGN §S23) — the records are
-bit-identical, the kernel is just faster (``bench``'s ``kernel``
-section measures by how much).
+bit-identical, the kernel is just faster (``perfbench``'s
+``paper-sim`` workload times it).
 
 ``--trace PATH`` (on the lookup-driven commands: fig5/6/7, fig10,
 fig11, fig12, fig13, fig14, fig-crash, maint) streams every routing
@@ -65,36 +64,20 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis import (
-    format_bench_table,
-    format_clone_bench_table,
-    format_kernel_bench_table,
-    format_table,
-)
+from repro.analysis import format_table
 from repro.dht.routing import JsonlTraceSink, TraceObserver
 from repro.experiments import (
     architecture_table,
-    bench_report,
-    compare_to_baseline,
     run_churn_experiment,
     run_crash_experiment,
     run_key_distribution_experiment,
     run_koorde_sparsity_breakdown,
     run_maintenance_experiment,
     run_mass_departure_experiment,
-    run_clone_bench,
-    run_kernel_bench,
-    run_parallel_bench,
     run_path_length_experiment,
     run_phase_breakdown_experiment,
     run_query_load_experiment,
     run_sparsity_experiment,
-    write_bench_report,
-)
-from repro.experiments.bench import (
-    DEFAULT_BENCH_PROTOCOLS,
-    KERNEL_BENCH_PROTOCOLS,
-    validate_net_report,
 )
 from repro.experiments.adversary import (
     ADVERSARY_PROTOCOLS,
@@ -104,7 +87,6 @@ from repro.experiments.registry import ALL_PROTOCOLS
 from repro.experiments.scale import SCALE_COUNTS, SCALE_PROTOCOLS
 from repro.dht.bulkbuild import SAMPLERS
 from repro.dht.kernel import BACKENDS
-from repro.sim.parallel import DEFAULT_SHARD_SIZE
 
 __all__ = ["main", "build_parser"]
 
@@ -397,29 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     for figure in (fig5, fig6, fig7, fig14, crash, fig_latency, fig_adversary):
         _add_backend(figure)
 
-    bench = sub.add_parser(
-        "bench",
-        help="time serial vs parallel execution and verify bit-exactness",
-    )
-    bench.add_argument("--dimension", type=int, default=8)
-    bench.add_argument("--lookups", type=int, default=2000)
-    bench.add_argument("--workers", type=int, default=4, metavar="N")
-    bench.add_argument(
-        "--shard-size", type=int, default=DEFAULT_SHARD_SIZE
-    )
-    bench.add_argument(
-        "--protocols",
-        nargs="+",
-        default=list(DEFAULT_BENCH_PROTOCOLS),
-    )
-    bench.add_argument(
-        "--output",
-        metavar="PATH",
-        default="BENCH_parallel.json",
-        help="where to write the JSON bench report "
-        "(default: BENCH_parallel.json)",
-    )
-
     def _add_build(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
             "--protocol", choices=ALL_PROTOCOLS, default="cycloid"
@@ -697,7 +656,7 @@ def _run_loadgen(args: argparse.Namespace) -> int:
     import json
 
     from repro.net.cluster import load_spec
-    from repro.net.loadgen import run_loadgen
+    from repro.net.loadgen import run_loadgen, validate_net_report
     from repro.sim.faults import RetryPolicy
 
     spec = None
@@ -780,7 +739,7 @@ def _run_loadgen(args: argparse.Namespace) -> int:
 def _run_churnstorm(args: argparse.Namespace) -> int:
     import json
 
-    from repro.net.loadgen import run_churnstorm
+    from repro.net.loadgen import run_churnstorm, validate_net_report
     from repro.sim.faults import ChurnPlan, RetryPolicy
 
     build = _build_recipe(args)
@@ -1364,66 +1323,6 @@ def _dispatch(
                 "Maintenance fan-out + post-departure probe",
             )
         )
-    elif args.command == "bench":
-        import json
-        import os.path
-
-        cells = run_parallel_bench(
-            protocols=tuple(args.protocols),
-            dimension=args.dimension,
-            lookups=args.lookups,
-            workers=args.workers,
-            shard_size=args.shard_size,
-            seed=args.seed,
-        )
-        clone_cells = run_clone_bench(
-            protocols=tuple(args.protocols),
-            dimension=args.dimension,
-            shard_size=args.shard_size,
-            seed=args.seed,
-        )
-        kernel_protocols = tuple(
-            p for p in args.protocols if p in KERNEL_BENCH_PROTOCOLS
-        ) or KERNEL_BENCH_PROTOCOLS
-        kernel_cells = run_kernel_bench(
-            protocols=kernel_protocols,
-            dimension=args.dimension,
-            lookups=args.lookups,
-            seed=args.seed,
-        )
-        report = bench_report(
-            cells,
-            dimension=args.dimension,
-            lookups=args.lookups,
-            workers=args.workers,
-            shard_size=args.shard_size,
-            seed=args.seed,
-            clone_cells=clone_cells,
-            kernel_cells=kernel_cells,
-        )
-        # Compare against the committed baseline before overwriting it,
-        # so throughput drift is surfaced rather than silently replaced.
-        baseline = None
-        if os.path.exists(args.output):
-            try:
-                with open(args.output, "r", encoding="utf-8") as handle:
-                    baseline = json.load(handle)
-            except (OSError, ValueError):
-                baseline = None
-        for line in compare_to_baseline(report, baseline):
-            print(line, file=sys.stderr)
-        write_bench_report(args.output, report)
-        _print(format_bench_table(report["cells"], args.workers))
-        _print(format_clone_bench_table(report["build_vs_clone"]))
-        _print(format_kernel_bench_table(report["kernel"]))
-        print(f"bench report -> {args.output}", file=sys.stderr)
-        if not report["all_match"]:
-            print(
-                "error: parallel digest mismatch — serial and parallel "
-                "runs disagree",
-                file=sys.stderr,
-            )
-            return 1
     elif args.command == "serve":
         return _run_serve(args)
     elif args.command == "loadgen":

@@ -119,7 +119,8 @@ class LookupStats:
         phase_hops, source, key, owner, path)`` of every record *in
         order*, so two runs agree iff they produced bit-identical
         records in the same sequence — the equality the parallel-parity
-        tests and the ``bench`` command assert between worker counts.
+        tests and CI's paper-scale parity step assert between worker
+        counts.
         A record that carries a modeled ``latency_ms`` appends it (the
         exact float ``repr``) to its tuple; latency-free records keep
         the original 9-tuple shape so the committed golden baselines

@@ -68,17 +68,6 @@ from repro.experiments.scale import (
     scale_report,
     validate_scale_report,
 )
-from repro.experiments.bench import (
-    BenchCell,
-    KernelBenchCell,
-    bench_report,
-    compare_to_baseline,
-    run_clone_bench,
-    run_kernel_bench,
-    run_parallel_bench,
-    validate_net_report,
-    write_bench_report,
-)
 
 __all__ = [
     "PROTOCOLS",
@@ -122,13 +111,4 @@ __all__ = [
     "scale_parity",
     "scale_report",
     "validate_scale_report",
-    "BenchCell",
-    "KernelBenchCell",
-    "run_parallel_bench",
-    "run_clone_bench",
-    "run_kernel_bench",
-    "bench_report",
-    "compare_to_baseline",
-    "write_bench_report",
-    "validate_net_report",
 ]

@@ -11,7 +11,7 @@ equal the digest over the engine's records for the same deterministic
 workload on a pristine clone of the overlay.  The digests, the match
 verdict and the performance numbers land in a schema-tagged
 ``BENCH_net.json`` (:data:`NET_BENCH_SCHEMA`, guarded by
-:func:`repro.experiments.bench.validate_net_report`).
+:func:`validate_net_report`).
 
 The workload is three deterministic op groups derived from one seed:
 ``lookups`` plain lookups, then ``puts`` PUTs, then one GET per PUT
@@ -67,6 +67,7 @@ from repro.util.stats import mean, percentile
 
 __all__ = [
     "NET_BENCH_SCHEMA",
+    "validate_net_report",
     "build_from_recipe",
     "make_operations",
     "make_open_operations",
@@ -79,6 +80,163 @@ __all__ = [
 
 #: Schema tag of the ``BENCH_net.json`` report.
 NET_BENCH_SCHEMA = "repro/net-bench/v1"
+
+#: ``BENCH_net.json`` required shape: top-level keys and the nested
+#: keys of each aggregate section.  Guarded so CI archives can be
+#: machine-compared across commits without schema drift.
+_NET_REPORT_KEYS = (
+    "schema",
+    "mode",
+    "build",
+    "clients",
+    "seed",
+    "ops",
+    "latency_ms",
+    "throughput_ops_per_s",
+    "digest",
+)
+_NET_OPS_KEYS = ("total", "completed", "lookups", "puts", "gets", "failures")
+_NET_LATENCY_KEYS = ("mean", "p50", "p95", "p99", "max")
+_NET_DIGEST_KEYS = ("live", "expected", "match")
+#: Extra required shape of the ``"open-churn"`` mode (``repro
+#: churnstorm``): the digest section is replaced by the open/closed
+#: loop split and the churn ledger with its survival verdict.
+_NET_CHURN_REPORT_KEYS = (
+    "schema",
+    "mode",
+    "build",
+    "clients",
+    "seed",
+    "ops",
+    "latency_ms",
+    "throughput_ops_per_s",
+    "open_loop",
+    "closed_loop",
+    "churn",
+)
+_NET_CHURN_KEYS = (
+    "plan",
+    "events",
+    "crashes",
+    "joins",
+    "acked_writes",
+    "acked_keys",
+    "lost_acked_keys",
+    "survival_rate",
+    "under_replication_ms",
+)
+
+
+def validate_net_report(report: Dict[str, object]) -> None:
+    """Schema-guard a ``BENCH_net.json`` loadgen report.
+
+    Two report modes share the schema tag, and every report must name
+    its ``"mode"`` explicitly: a ``"closed-loop"`` parity report must
+    carry a consistent engine-parity ``digest``; an ``"open-churn"`` report
+    (``repro churnstorm``) instead carries the open/closed loop split
+    plus a ``churn`` section whose ``survival_rate`` must agree with
+    its lost-key count.  Raises ``ValueError`` naming the first
+    violation.
+    """
+    if not isinstance(report, dict):
+        raise ValueError("net report must be a JSON object")
+    if report.get("schema") != NET_BENCH_SCHEMA:
+        raise ValueError(
+            f"net report schema is {report.get('schema')!r}, "
+            f"expected {NET_BENCH_SCHEMA!r}"
+        )
+    # ``mode`` is required: a very-early SIGINT once produced a partial
+    # report without it, which this validator silently took for a
+    # closed-loop run — never default a discriminator.
+    if "mode" not in report:
+        raise ValueError("net report is missing 'mode'")
+    mode = report["mode"]
+    if mode not in ("closed-loop", "open-churn"):
+        raise ValueError(f"net report mode {mode!r} is unknown")
+    # Self-hosted runs count the STEP frames their servers forwarded;
+    # an attached run cannot see the servers, so the field is optional.
+    if "forwards_per_op" in report:
+        forwards = report["forwards_per_op"]
+        if (
+            isinstance(forwards, bool)
+            or not isinstance(forwards, (int, float))
+            or not forwards >= 0
+        ):
+            raise ValueError(
+                f"net report forwards_per_op {forwards!r} is not a "
+                "non-negative number"
+            )
+    if mode == "open-churn":
+        _validate_churn_report(report)
+        return
+    for key in _NET_REPORT_KEYS:
+        if key not in report:
+            raise ValueError(f"net report is missing {key!r}")
+    for section, keys in (
+        ("ops", _NET_OPS_KEYS),
+        ("latency_ms", _NET_LATENCY_KEYS),
+        ("digest", _NET_DIGEST_KEYS),
+    ):
+        block = report[section]
+        if not isinstance(block, dict):
+            raise ValueError(f"net report {section!r} must be an object")
+        for key in keys:
+            if key not in block:
+                raise ValueError(
+                    f"net report {section!r} is missing {key!r}"
+                )
+    digest = report["digest"]
+    for side in ("live", "expected"):
+        value = digest[side]
+        if not (isinstance(value, str) and len(value) == 64):
+            raise ValueError(
+                f"net report digest.{side} is not a sha256 hex digest"
+            )
+    ops = report["ops"]
+    expected_match = (
+        ops["completed"] == ops["total"]
+        and digest["live"] == digest["expected"]
+    )
+    if bool(digest["match"]) != expected_match:
+        raise ValueError(
+            "net report digest.match is inconsistent with the digests"
+        )
+
+
+def _validate_churn_report(report: Dict[str, object]) -> None:
+    for key in _NET_CHURN_REPORT_KEYS:
+        if key not in report:
+            raise ValueError(f"churn report is missing {key!r}")
+    for section, keys in (
+        ("ops", _NET_OPS_KEYS),
+        ("latency_ms", _NET_LATENCY_KEYS),
+        ("churn", _NET_CHURN_KEYS),
+    ):
+        block = report[section]
+        if not isinstance(block, dict):
+            raise ValueError(f"churn report {section!r} must be an object")
+        for key in keys:
+            if key not in block:
+                raise ValueError(
+                    f"churn report {section!r} is missing {key!r}"
+                )
+    churn = report["churn"]
+    survival = churn["survival_rate"]
+    if not isinstance(survival, (int, float)) or not 0.0 <= survival <= 1.0:
+        raise ValueError(
+            "churn report survival_rate must be a number in [0, 1]"
+        )
+    lost = churn["lost_acked_keys"]
+    if (survival == 1.0) != (lost == 0):
+        raise ValueError(
+            "churn report survival_rate is inconsistent with "
+            "lost_acked_keys"
+        )
+    window = churn["under_replication_ms"]
+    if not isinstance(window, dict) or not {"mean", "max"} <= set(window):
+        raise ValueError(
+            "churn report under_replication_ms needs 'mean' and 'max'"
+        )
 
 
 def build_from_recipe(build: Dict[str, object]) -> Network:
@@ -517,7 +675,7 @@ def partial_report(
     A SIGINT that lands *before* the run installs its signal handler
     (while the overlay builds or the cluster boots) aborts with no
     results at all.  The report it leaves behind must still satisfy
-    :func:`repro.experiments.bench.validate_net_report` — in
+    :func:`validate_net_report` — in
     particular it must carry ``"mode"``: the validator once defaulted a
     missing mode to ``"closed-loop"``, which let early-interrupt
     reports masquerade as complete-schema ones.

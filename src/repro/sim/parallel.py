@@ -155,8 +155,8 @@ def _warn_if_oversubscribed(workers: int) -> None:
     Oversubscribed pools are pure overhead here — shards are CPU-bound,
     so extra workers just add pool start-up and context-switch cost.
     Even at workers == CPUs the pool must earn back its start-up and
-    one restore per worker: the committed BENCH_parallel.json (2 CPUs,
-    workers=2, four-shard 2000-lookup cells) ranges 0.37-1.37x.  The
+    one restore per worker: four-shard 2000-lookup d=8 cells on 2 CPUs
+    at workers=2 measured 0.37-1.37x of serial.  The
     run stays correct either way (results are worker-count-invariant),
     hence a warning, not an error.
     """

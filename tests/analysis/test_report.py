@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.report import (
     ascii_series,
-    format_bench_table,
     format_table,
     series_by_protocol,
 )
@@ -61,47 +60,6 @@ class TestPercentileRows:
             ["timeouts"], [[summarize([1.0, 3.0]).as_row()]]
         )
         assert "(1.02, 2.98)" in text
-
-
-class TestFormatBenchTable:
-    CELLS = [
-        {
-            "protocol": "cycloid",
-            "serial_seconds": 2.0,
-            "parallel_seconds": 0.8,
-            "speedup": 2.5,
-            "digest_match": True,
-        },
-        {
-            "protocol": "chord",
-            "serial_seconds": 1.0,
-            "parallel_seconds": 1.1,
-            "speedup": 0.909,
-            "digest_match": False,
-        },
-    ]
-
-    def test_columns_and_flags(self):
-        text = format_bench_table(self.CELLS, workers=4)
-        assert "workers=4" in text.splitlines()[0]
-        assert "2.50x" in text
-        assert "0.91x" in text
-        cycloid_row = next(l for l in text.splitlines() if "cycloid" in l)
-        chord_row = next(l for l in text.splitlines() if "chord" in l)
-        assert "yes" in cycloid_row
-        assert "NO" in chord_row
-
-    def test_spread_beside_best_time(self):
-        cell = dict(
-            self.CELLS[0], serial_spread_seconds=0.25, parallel_spread_seconds=0.5
-        )
-        row = next(
-            line
-            for line in format_bench_table([cell], workers=2).splitlines()
-            if "cycloid" in line
-        )
-        assert "2.00s +0.25" in row
-        assert "0.80s +0.50" in row
 
 
 class TestSeriesByProtocol:

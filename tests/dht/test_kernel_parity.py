@@ -34,11 +34,6 @@ from repro.dht.kernel import (
 )
 from repro.dht.metrics import LookupStats
 from repro.dht.routing import RecordingTracer
-from repro.experiments.bench import (
-    compare_to_baseline,
-    host_facts,
-    run_kernel_bench,
-)
 from repro.experiments.common import run_lookups
 from repro.experiments.registry import ALL_PROTOCOLS, build_complete_network
 from repro.koorde import KoordeNetwork
@@ -387,102 +382,6 @@ class TestBackendErrors:
         for backend in BACKENDS:
             args = parser.parse_args(["fig5", "--backend", backend])
             assert args.backend == backend
-
-
-class TestKernelBench:
-    def test_kernel_bench_cells_digest_checked(self):
-        (cell,) = run_kernel_bench(
-            protocols=("cycloid",), dimension=3, lookups=30, seed=5, repeats=1
-        )
-        assert cell.protocol == "cycloid"
-        assert cell.lookups == 30
-        assert cell.digest_match
-        assert cell.speedup > 0
-        payload = cell.as_dict()
-        for key in (
-            "protocol",
-            "lookups",
-            "object_seconds",
-            "columnar_seconds",
-            "object_lookups_per_s",
-            "columnar_lookups_per_s",
-            "speedup",
-            "digest",
-            "digest_match",
-        ):
-            assert key in payload
-
-    HOST = {"cpus": 2, "host": host_facts()}
-
-    def test_compare_to_baseline_warns_on_regression(self):
-        baseline = {
-            "config": dict(self.HOST),
-            "kernel": [
-                {"protocol": "cycloid", "columnar_lookups_per_s": 1000.0}
-            ],
-        }
-        slow = {
-            "config": dict(self.HOST),
-            "kernel": [
-                {"protocol": "cycloid", "columnar_lookups_per_s": 700.0}
-            ],
-        }
-        (line,) = compare_to_baseline(slow, baseline)
-        assert line.startswith("warning:")
-        assert "regression" in line
-
-    def test_compare_to_baseline_accepts_small_drift(self):
-        baseline = {
-            "config": dict(self.HOST),
-            "kernel": [
-                {"protocol": "cycloid", "columnar_lookups_per_s": 1000.0}
-            ],
-        }
-        steady = {
-            "config": dict(self.HOST),
-            "kernel": [
-                {"protocol": "cycloid", "columnar_lookups_per_s": 950.0}
-            ],
-        }
-        (line,) = compare_to_baseline(steady, baseline)
-        assert not line.startswith("warning:")
-        assert "0.95x" in line
-
-    def test_compare_to_baseline_refuses_another_host(self):
-        """A baseline with other (or no) host facts is not comparable:
-        even a 0.70x ratio is reported, never warned about."""
-        slow = {
-            "config": dict(self.HOST),
-            "kernel": [
-                {"protocol": "cycloid", "columnar_lookups_per_s": 700.0}
-            ],
-        }
-        other_python = dict(self.HOST["host"], python="2.7.18")
-        for config, named in (
-            ({"cpus": 1, "host": self.HOST["host"]}, "cpus 1 vs 2"),
-            ({"cpus": 2, "host": other_python}, "python 2.7.18 vs"),
-            ({"cpus": 2}, "python missing vs"),
-        ):
-            baseline = {
-                "config": config,
-                "kernel": [
-                    {"protocol": "cycloid", "columnar_lookups_per_s": 1000.0}
-                ],
-            }
-            (line,) = compare_to_baseline(slow, baseline)
-            assert line.startswith("not comparable (host differs: ")
-            assert named in line
-            assert "warning" not in line
-            assert "0.70x" in line
-
-    def test_compare_to_baseline_without_baseline(self):
-        report = {
-            "kernel": [
-                {"protocol": "cycloid", "columnar_lookups_per_s": 1000.0}
-            ]
-        }
-        assert compare_to_baseline(report, None) == []
-        assert compare_to_baseline(report, {"kernel": []}) == []
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,11 @@ from repro.core import CycloidNetwork
 from repro.dht.storage import replica_set
 from repro.net.client import ClusterError
 from repro.net.cluster import LocalCluster
-from repro.net.loadgen import make_open_operations, run_churnstorm
+from repro.net.loadgen import (
+    make_open_operations,
+    run_churnstorm,
+    validate_net_report,
+)
 from repro.sim.faults import ChurnEvent, ChurnPlan
 
 
@@ -271,8 +275,6 @@ class TestChurnstorm:
         assert report["ops"]["failures"] == 0
         assert report["ops"]["completed"] == 200
         # The validator accepts the open-churn shape.
-        from repro.experiments.bench import validate_net_report
-
         validate_net_report(report)
 
     def test_rejoined_nodes_return_to_their_servers(self):

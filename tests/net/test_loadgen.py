@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.experiments.bench import validate_net_report
 from repro.net.cluster import LocalCluster
 from repro.net.loadgen import (
     NET_BENCH_SCHEMA,
@@ -16,6 +15,7 @@ from repro.net.loadgen import (
     partial_report,
     results_digest,
     run_loadgen,
+    validate_net_report,
 )
 
 BUILD_32 = {"protocol": "cycloid", "nodes": 32, "dimension": 4, "seed": 6}

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.bench import run_parallel_bench
 
 
 class TestParser:
@@ -225,71 +224,6 @@ class TestWorkers:
         serial = self.run(base + ["--workers", "1"], capsys)
         parallel = self.run(base + ["--workers", "2"], capsys)
         assert serial == parallel
-
-
-class TestBench:
-    def test_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.dimension == 8
-        assert args.lookups == 2000
-        assert args.workers == 4
-        assert args.output == "BENCH_parallel.json"
-
-    def test_bench_writes_report(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "--dimension", "4",
-                    "--lookups", "120",
-                    "--shard-size", "30",
-                    "--workers", "2",
-                    "--protocols", "cycloid", "chord",
-                    "--output", str(out_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "Parallel lookup bench" in out
-        report = json.loads(out_path.read_text())
-        assert report["config"]["workers"] == 2
-        assert report["config"]["cpus"] >= 1
-        assert report["all_match"] is True
-        assert [c["protocol"] for c in report["cells"]] == [
-            "cycloid", "chord",
-        ]
-        for cell in report["cells"]:
-            assert cell["digest_match"] is True
-            assert cell["serial_seconds"] > 0
-            assert cell["parallel_seconds"] > 0
-            assert len(cell["digest"]) == 64
-
-    def test_bench_rejects_single_worker(self):
-        with pytest.raises(ValueError):
-            main(["bench", "--workers", "1", "--lookups", "40"])
-
-    def test_parallel_bench_rejects_zero_repeats(self):
-        with pytest.raises(ValueError, match="repeats must be >= 1"):
-            run_parallel_bench(protocols=("chord",), workers=2, repeats=0)
-
-    def test_parallel_bench_reports_best_and_spread(self):
-        (cell,) = run_parallel_bench(
-            protocols=("chord",),
-            dimension=3,
-            lookups=40,
-            workers=2,
-            shard_size=10,
-            repeats=3,
-        )
-        assert cell.digest_match
-        assert cell.serial_seconds > 0 and cell.parallel_seconds > 0
-        assert cell.serial_spread_seconds >= 0
-        assert cell.parallel_spread_seconds >= 0
-        payload = cell.as_dict()
-        assert "serial_spread_seconds" in payload
-        assert "parallel_spread_seconds" in payload
 
 
 class TestServeLoadgenParsers:
