@@ -336,13 +336,16 @@ class ChordNetwork(Network):
         if observer.predecessor is dead:
             observer.predecessor = None
             repaired += 1
-        space = 1 << self.bits
-        for index, finger in enumerate(observer.fingers):
-            if finger is dead:
-                observer.fingers[index] = self.ring.successor(
-                    (observer.id + (1 << index)) % space
-                )
-                repaired += 1
+        if dead in observer.fingers:
+            space = 1 << self.bits
+            fingers = list(observer.fingers)  # rebound, never written into
+            for index, finger in enumerate(fingers):
+                if finger is dead:
+                    fingers[index] = self.ring.successor(
+                        (observer.id + (1 << index)) % space
+                    )
+                    repaired += 1
+            observer.fingers = fingers
         return repaired
 
     def stabilize(self) -> None:

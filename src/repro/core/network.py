@@ -619,7 +619,8 @@ class CycloidNetwork(Network):
         cubical/cyclic neighbour pointers (stabilisation's job to
         replace, as with Chord fingers) and re-derive the leaf sets
         from the live membership when a leaf entry was the casualty —
-        the §3.2 leaf-set successor fallback made durable."""
+        the §3.2 leaf-set successor fallback made durable.  The leaf
+        sets are memoized until the next membership change."""
         repaired = 0
         if observer.cubical_neighbor is dead:
             observer.cubical_neighbor = None
@@ -631,7 +632,8 @@ class CycloidNetwork(Network):
             observer.cyclic_smaller = None
             repaired += 1
         if any(leaf is dead for leaf in observer.leaf_entries()):
-            if self._wire_leaves(observer):
+            leaves = self._membership_memo(observer, self._leaf_sets)
+            if self._wire_leaves(observer, leaves):
                 repaired += 1
         return repaired
 
@@ -722,8 +724,9 @@ class CycloidNetwork(Network):
             node.cyclic_smaller = smaller  # type: ignore[assignment]
         self._wire_leaves(node)
 
-    def _wire_leaves(self, node: CycloidNode) -> bool:
-        """Inside and outside leaf sets from the live membership.
+    def _wire_leaves(self, node: CycloidNode, leaves=None) -> bool:
+        """Inside and outside leaf sets from the live membership, or
+        from ``leaves`` (a memoized :meth:`_leaf_sets`) when given.
 
         Returns whether anything changed (used for maintenance-cost
         accounting: an unchanged node would not have been messaged).
@@ -736,39 +739,48 @@ class CycloidNetwork(Network):
             node.outside_left,
             node.outside_right,
         )
+        if leaves is None:
+            leaves = self._leaf_sets(node)
+        else:  # copies: a memo is never handed out
+            leaves = [list(run) for run in leaves]
+        (
+            node.inside_left,
+            node.inside_right,
+            node.outside_left,
+            node.outside_right,
+        ) = leaves
+        return not all(map(_same_ids, before, leaves))
+
+    def _leaf_sets(self, node: CycloidNode) -> Tuple[List[CycloidNode], ...]:
+        """``node``'s inside left/right and outside left/right leaf runs,
+        a pure function of the live membership."""
         cycle = self.topology.cycle_members(node.cubical)
         radius = self.leaf_radius
         index = cycle.index(node.cyclic)
         size = len(cycle)
         if size == 1:
             # "two nodes in X's inside leaf set are X itself"
-            node.inside_left = [node]
-            node.inside_right = [node]
+            inside_left = [node]
+            inside_right = [node]
         else:
             take = min(radius, size - 1)
-            node.inside_left = [
+            inside_left = [
                 self.topology.get(cycle[(index - 1 - i) % size], node.cubical)
                 for i in range(take)
-            ]  # type: ignore[assignment]
-            node.inside_right = [
+            ]
+            inside_right = [
                 self.topology.get(cycle[(index + 1 + i) % size], node.cubical)
                 for i in range(take)
-            ]  # type: ignore[assignment]
-        node.outside_left = [
+            ]
+        outside_left = [
             self._outside_pick(node, c)
             for c in self.topology.preceding_cycles(node.cubical, radius)
         ]
-        node.outside_right = [
+        outside_right = [
             self._outside_pick(node, c)
             for c in self.topology.succeeding_cycles(node.cubical, radius)
         ]
-        after = (
-            node.inside_left,
-            node.inside_right,
-            node.outside_left,
-            node.outside_right,
-        )
-        return not all(map(_same_ids, before, after))
+        return inside_left, inside_right, outside_left, outside_right
 
     def _outside_pick(self, node: CycloidNode, cubical: int) -> CycloidNode:
         """The outside-leaf representative of remote cycle ``cubical``

@@ -42,8 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 
 __all__ = ["LookupOutcome", "Node", "Network"]
 
-#: Upper bound on memoized owner entries per network.  Ring overlays
-#: draw key ids from spaces as large as 2**52 (Viceroy), so an
+#: Upper bound on entries in a network's membership cache.  Ring
+#: overlays draw key ids from spaces as large as 2**52 (Viceroy), so an
 #: unbounded cache could grow without limit under adversarial
 #: workloads; paper-scale experiments stay far below this.
 OWNER_CACHE_LIMIT = 65536
@@ -110,9 +110,10 @@ class Network(abc.ABC):
 
     def __init__(self) -> None:
         self._query_counts: Counter = Counter()
-        #: memoized ``key_id -> owner`` map; every membership change
-        #: (join/leave/fail) calls :meth:`invalidate_owner_cache`.
-        self._owner_cache: Dict[object, Node] = {}
+        #: the membership cache: memoized ``key_id -> owner`` and
+        #: per-node memos (:meth:`_membership_memo`); every membership
+        #: change (join/leave/fail) calls :meth:`invalidate_owner_cache`.
+        self._owner_cache: Dict[object, object] = {}
         #: running count of *other* nodes whose routing state a join or
         #: graceful leave updated — the connectivity-maintenance cost
         #: the paper's conclusion weighs across designs.
@@ -217,8 +218,21 @@ class Network(abc.ABC):
                 cache[key_id] = node
         return node
 
+    def _membership_memo(self, node: Node, derive) -> object:
+        """``derive(node)`` for state that is a pure function of the
+        live membership (Viceroy's links, Cycloid's leaf sets),
+        memoized until the next join/leave/fail."""
+        cache = self._owner_cache
+        value = cache.get(node)
+        if value is None:
+            value = derive(node)
+            if len(cache) < OWNER_CACHE_LIMIT:
+                cache[node] = value
+        return value
+
     def invalidate_owner_cache(self) -> None:
-        """Drop all memoized owners; call on every join/leave/fail."""
+        """Drop the membership cache — memoized owners and every
+        per-node memo; call on every join/leave/fail."""
         self._owner_cache.clear()
 
     def owner_of_key(self, key: object) -> Node:
@@ -286,8 +300,10 @@ class Network(abc.ABC):
         pointer(s) in ``observer``'s routing state — the leaf-set
         successor fallback for Cycloid, the finger walk-down for Chord,
         and so on per overlay.  Returns the number of entries repaired
-        (the engine accumulates it in :attr:`route_repairs`).  Default:
-        overlays without repairable per-node state do nothing.
+        (the engine accumulates it in :attr:`route_repairs`).  Repairs
+        rebind slots and never write into the lists they hold, which is
+        what lets :meth:`~repro.sim.faults.FaultInjector.roll_back` undo
+        them.  Default: overlays without repairable state do nothing.
         """
         return 0
 
@@ -425,11 +441,7 @@ class Network(abc.ABC):
         return NetworkSnapshot.capture(self)
 
     def clone(self) -> "Network":
-        """Fast in-process deep clone (no serialisation round-trip).
-
-        Used by the serial shard path (``workers=1``, observer-forced
-        runs) where shipping bytes between processes buys nothing.
-        """
+        """Fast in-process deep clone (no serialisation round-trip)."""
         return clone_network(self)
 
     def __getstate__(self):

@@ -362,7 +362,9 @@ class LookupEngine:
         Walks the primary candidate then the ranked alternates: a lost
         message re-probes the same target, a dead target triggers the
         overlay's :meth:`~repro.dht.base.Network.on_dead_entry` lazy
-        repair and falls through to the next candidate.  Every failed
+        repair (journaled first, so that
+        :meth:`~repro.sim.faults.FaultInjector.roll_back` can undo it)
+        and falls through to the next candidate.  Every failed
         probe costs one timeout and is traced; every continuation after
         a failed probe spends one unit of the per-lookup retry budget.
 
@@ -386,6 +388,7 @@ class LookupEngine:
                 kind = "retry"  # message lost; same target again
             else:
                 kind = "timeout"
+                injector.note_repair(current)
                 network.route_repairs += network.on_dead_entry(current, node)
                 index += 1
             if observer is not None:

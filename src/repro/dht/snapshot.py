@@ -20,15 +20,15 @@ O(state):
   lists) restore without recursion.
 * :class:`NetworkSnapshot` wraps the pickled bytes for cross-process
   shipment; :func:`clone_network` is the in-process fast path (pack +
-  unpack, no serialisation) used by serial shard execution.
+  unpack, no serialisation).
 
 What is captured: node slots, membership containers
 (:class:`~repro.dht.ring.SortedRing`,
 :class:`~repro.core.topology.CycloidTopology`, plain lists/dicts),
 RNG state (``random.Random`` is captured via ``getstate`` so a clone
 never shares a generator with its original), and counters.  What is
-*not*: the memoized owner cache (identity-based, rebuilt lazily) and
-fault injectors (reattached from the plan seed — see
+*not*: the membership cache (memoized owners and per-node memos;
+identity-based, rebuilt lazily) and fault injectors (reattached from the plan seed — see
 :class:`~repro.sim.faults.FaultState`).  Restored copies are therefore
 bit-exact substitutes for a fresh rebuild: the clone-vs-rebuild parity
 suite pins that for every overlay, with and without faults.
@@ -76,8 +76,9 @@ _MISSING = ("miss",)
 #: modules via :func:`register_composite`.
 _COMPOSITES: Tuple[Type, ...] = ()
 
-#: Network attributes never serialised.  The owner cache maps key ids
-#: to node *identities*; a restored copy rebuilds it lazily.
+#: Network attributes never serialised.  The membership cache maps key
+#: ids and nodes to node *identities*; a restored copy rebuilds it
+#: lazily.
 _SKIPPED_ATTRS = frozenset({"_owner_cache"})
 
 

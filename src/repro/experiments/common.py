@@ -84,12 +84,12 @@ def run_lookups(
             backend=backend,
             latency=latency,
         )
-        records, dropped = route_shard(
+        records, shard_injector = route_shard(
             task, network, injector, observer, kernel
         )
         stats.extend(records)
-        if injector is not None:
-            injector.dropped += dropped
+        if shard_injector is not None:
+            injector.dropped += shard_injector.dropped
     return stats
 
 

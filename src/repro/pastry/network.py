@@ -331,11 +331,13 @@ class PastryNetwork(Network):
         if any(leaf is dead for leaf in observer.leaf_entries()):
             if self._wire_leaves(observer):
                 repaired += 1
-        for row in observer.routing_rows:
-            for column, entry in enumerate(row):
-                if entry is dead:
-                    row[column] = None
-                    repaired += 1
+        rows = observer.routing_rows
+        if any(dead in row for row in rows):
+            repaired += sum(row.count(dead) for row in rows)
+            observer.routing_rows = [  # rebound, never written into
+                [None if entry is dead else entry for entry in row]
+                for row in rows
+            ]
         return repaired
 
     def _free_id_for(self, name: object) -> int:

@@ -30,7 +30,7 @@ bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, FrozenSet, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.util.rng import derive_rng, make_rng
 
@@ -237,6 +237,7 @@ class FaultInjector:
         "flaky_nodes",
         "crashed",
         "dropped",
+        "journal",
     )
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -251,6 +252,9 @@ class FaultInjector:
         self.crashed = 0
         #: messages dropped so far (loss + flaky).
         self.dropped = 0
+        #: node -> its slot values from before the first lazy repair
+        #: the engine made on it under this injector (:meth:`roll_back`).
+        self.journal: Dict["Node", List[object]] = {}
 
     @property
     def active(self) -> bool:
@@ -274,6 +278,25 @@ class FaultInjector:
             child._loss_rng = derive_rng(child._loss_rng, shard)
         child.flaky_nodes = set(self.flaky_nodes)
         return child
+
+    def note_repair(self, node: "Node") -> None:
+        """Journal ``node``'s own ``__slots__`` (its routing state), once;
+        the engine calls this before every lazy repair."""
+        if node not in self.journal:
+            self.journal[node] = [getattr(node, s) for s in node.__slots__]
+
+    def roll_back(self) -> None:
+        """Undo every lazy repair made while routing with this injector.
+
+        Lazy repair (:meth:`~repro.dht.base.Network.on_dead_entry`) is
+        the only change fault-mode routing makes to routing tables, and
+        it only rebinds slots, so the journaled values restore them.
+        The shards of a cell rely on this to share one network.
+        """
+        for node, values in self.journal.items():
+            for slot, value in zip(node.__slots__, values):
+                setattr(node, slot, value)
+        self.journal.clear()
 
     # ------------------------------------------------------------------
     # topology-level faults (applied before or between lookups)

@@ -12,9 +12,8 @@ This module restructures a cell's workload into **shards**:
 * Each shard draws its workload from its own RNG stream, derived from
   ``(seed, shard_index)`` via :func:`repro.util.rng.shard_rng`, routes
   on the cell's network (built once from a picklable zero-argument
-  ``setup`` callable) or a fresh copy of it, and returns a picklable
-  :class:`ShardResult` (records plus query-load / repair / fault
-  aggregates).
+  ``setup`` callable), and returns a picklable :class:`ShardResult`
+  (records plus query-load / repair / fault aggregates).
 * :func:`merge_shards` folds shard results **by shard index**, so the
   merged run is invariant under any completion order, and cross-checks
   the invariants that make the merge meaningful (every shard saw the
@@ -32,29 +31,18 @@ pins for every overlay, with and without an enabled
 Determinism model (DESIGN.md §S20/§S21)
 ---------------------------------------
 The cell's prepared network is built from the setup callable **exactly
-once** (§S21).  What a shard routes on then depends on the cell's
-injector:
-
-* **Fault mode** (an *active* :class:`~repro.sim.faults.FaultPlan`):
-  every shard routes on a **fresh network instance**.  Lazy route
-  repair (``Network.on_dead_entry``) mutates routing tables and the
-  loss stream is consumed in lookup order, so two shards sharing one
-  instance would leak state from whichever ran first.  Copies are
-  restored in O(state): one packed capture unpacked per shard when
-  running serially (the final shard consumes the original), a
-  :class:`~repro.dht.snapshot.NetworkSnapshot` restore per shard in
-  pool workers.
-* **Fault-free** (no injector, or an inactive one): routing changes
-  nothing but the query counters, which every shard resets before it
-  routes.  So every shard in a process shares **one** prepared network
-  and **one** compiled kernel (:func:`repro.dht.kernel.compile_kernel`):
-  the serial path routes on the original, and each pool worker
-  restores the snapshot once and compiles once.
-
-Pool workers receive the cell's snapshot once each, through the pool
-initializer; tasks carry only the shard's own parameters.  Fault
-injectors are never serialised: the post-setup injector is a pure
-function of ``(plan, flaky set, crash count)``
+once** (§S21), and every shard in a process routes on that **one**
+network and one compiled kernel
+(:func:`repro.dht.kernel.compile_kernel`), with or without faults:
+the serial path on the original, each pool worker on one unpacked
+copy, received once through the pool initializer.  Sharing is safe
+because a shard hands the network back as it found it
+(:func:`execute_shard`): it resets the query counters before routing,
+and in fault mode it rolls back the lazy repairs its injector
+journaled (:meth:`~repro.sim.faults.FaultInjector.roll_back`).  Its
+loss stream is its own (:meth:`~repro.sim.faults.FaultInjector.for_shard`).
+Fault injectors are never serialised: the post-setup injector is a
+pure function of ``(plan, flaky set, crash count)``
 (:class:`~repro.sim.faults.FaultState`) and reattaches bit-exactly.
 
 The parity suite keeps a fresh-build referee in the tests: it calls
@@ -93,7 +81,7 @@ from repro.dht.kernel import (
     run_lookup_batch,
 )
 from repro.dht.metrics import LookupRecord, LookupStats
-from repro.dht.snapshot import NetworkSnapshot, pack_network, unpack_network
+from repro.dht.snapshot import PackedNetwork, pack_network, unpack_network
 from repro.sim.faults import FaultState
 from repro.sim.latency import LatencyModel
 from repro.sim.workload import lookup_workload
@@ -132,7 +120,8 @@ Setup = Callable[[], Tuple["Network", Optional["FaultInjector"]]]
 #: Default lookups per shard.  Chosen so a paper-scale cell (2000
 #: lookups) splits into 4 shards — enough fan-out to keep 4 workers
 #: busy — while a test-scale cell (a few hundred lookups) stays a
-#: single shard and pays no snapshot capture or restore.
+#: single shard and never starts a pool.  In-process, a shard costs
+#: only its query-counter reset and, in fault mode, its roll-back.
 DEFAULT_SHARD_SIZE = 500
 
 def available_workers() -> int:
@@ -155,7 +144,7 @@ def _warn_if_oversubscribed(workers: int) -> None:
     Oversubscribed pools are pure overhead here — shards are CPU-bound,
     so extra workers just add pool start-up and context-switch cost.
     Even at workers == CPUs the pool must earn back its start-up and
-    one restore per worker: four-shard 2000-lookup d=8 cells on 2 CPUs
+    one unpack per worker: four-shard 2000-lookup d=8 cells on 2 CPUs
     at workers=2 measured 0.37-1.37x of serial.  The
     run stays correct either way (results are worker-count-invariant),
     hence a warning, not an error.
@@ -237,10 +226,10 @@ class ShardTask:
     """The parameters of one shard, apart from the network it routes on.
 
     The network never rides in a task: the in-process path hands
-    :func:`execute_shard` its network as ``prepared``, and a pool
-    worker receives the cell's snapshot and fault state once, through
-    the pool initializer.  A pickled task is therefore a few hundred
-    bytes at any population.
+    :func:`execute_shard` the cell's one network as ``prepared``, and a
+    pool worker receives the cell's packed network and fault state
+    once, through the pool initializer.  A pickled task is therefore a
+    few hundred bytes at any population.
     """
 
     spec: ShardSpec
@@ -292,14 +281,15 @@ def route_shard(
     injector: Optional["FaultInjector"] = None,
     observer: Optional["TraceObserver"] = None,
     kernel=None,
-) -> Tuple[List[LookupRecord], int]:
+) -> Tuple[List[LookupRecord], Optional["FaultInjector"]]:
     """Route one shard's workload on ``network``; the one shard body.
 
     Draws the shard's ``(source, key)`` pairs from
     ``shard_rng(task.seed, spec.index)`` starting at global index
     ``spec.offset`` and routes them with the injector's and latency
-    model's per-shard streams.  Returns the records and the number of
-    messages the shard's injector dropped.  ``kernel`` is ``network``'s
+    model's per-shard streams.  Returns the records and the shard's
+    injector (``None`` without one: it holds the drop count and the
+    journal of lazy repairs).  ``kernel`` is ``network``'s
     compiled kernel when the caller shares one across shards
     (:func:`repro.dht.kernel.compile_kernel`).  :func:`execute_shard` and
     :func:`repro.experiments.common.run_lookups` both route through
@@ -329,8 +319,7 @@ def route_shard(
         ),
         kernel=kernel,
     )
-    dropped = shard_injector.dropped if shard_injector is not None else 0
-    return records, dropped
+    return records, shard_injector
 
 
 def execute_shard(
@@ -342,17 +331,26 @@ def execute_shard(
     """Run one shard on ``prepared = (network, injector)`` and aggregate
     its outcome.
 
-    This is the single execution path for every worker count.  A
-    fault-mode shard needs a network of its own (a fresh copy); the
-    fault-free shards of a cell may all pass the same network and the
-    same compiled ``kernel``, because fault-free routing changes only
-    the query counters and those are reset here before routing.
+    This is the single execution path for every worker count.  It
+    leaves the network as it found it, so all the shards of a cell may
+    share one network and one compiled ``kernel``: the query counters
+    are reset before routing, and afterwards the shard's lazy repairs
+    are rolled back, with ``route_repairs`` and ``fault_detection``.
     ``observer`` only exists on the in-process path; it never affects
     routing.
     """
     network, injector = prepared
     network.reset_query_counts()
-    records, dropped = route_shard(task, network, injector, observer, kernel)
+    before = network.route_repairs, network.fault_detection
+    records, shard_injector = route_shard(
+        task, network, injector, observer, kernel
+    )
+    dropped = 0
+    if shard_injector is not None:
+        dropped = shard_injector.dropped
+        shard_injector.roll_back()
+    repairs = network.route_repairs
+    network.route_repairs, network.fault_detection = before
     live = network.live_nodes()
     return ShardResult(
         index=task.spec.index,
@@ -361,50 +359,32 @@ def execute_shard(
             node.name: count
             for node, count in zip(live, network.query_counts())
         },
-        route_repairs=network.route_repairs,
+        route_repairs=repairs,
         dropped_messages=dropped,
         crashed=injector.crashed if injector is not None else 0,
         population=len(live),
     )
 
 
-def _fault_free(injector: Optional["FaultInjector"]) -> bool:
-    """Whether routing leaves the network as it found it (query
-    counters aside), so that shards may share it."""
-    return injector is None or not injector.active
-
-
-#: The cell a pool worker serves: ``(snapshot, faults)`` from
-#: :func:`_enter_cell`, then — for a fault-free cell — the one
-#: ``(network, injector, kernel)`` every shard of this worker shares.
-_worker_cell: Optional[Tuple[NetworkSnapshot, Optional[FaultState]]] = None
-_worker_shared: Optional[tuple] = None
+#: The ``(network, injector, kernel)`` every shard of a pool worker
+#: routes on, set once by :func:`_enter_cell`.
+_worker_cell: Optional[tuple] = None
 
 
 def _enter_cell(
-    snapshot: NetworkSnapshot, faults: Optional[FaultState]
+    packed: PackedNetwork, faults: Optional[FaultState], backend: str
 ) -> None:
-    """Pool initializer: each worker receives the cell once."""
-    global _worker_cell, _worker_shared
-    _worker_cell = (snapshot, faults)
-    _worker_shared = None
+    """Pool initializer: each worker unpacks and compiles the cell once."""
+    global _worker_cell
+    network = unpack_network(packed)
+    injector = faults.rebuild() if faults is not None else None
+    kernel = compile_kernel(network, backend=backend, injector=injector)
+    _worker_cell = (network, injector, kernel)
 
 
 def _execute_in_worker(task: ShardTask) -> ShardResult:
-    """Pool task: restore per shard in fault mode, once per worker
-    (and compile once) for a fault-free cell."""
-    global _worker_shared
-    if _worker_shared is None:
-        snapshot, faults = _worker_cell
-        network = snapshot.restore()
-        injector = faults.rebuild() if faults is not None else None
-        if not _fault_free(injector):
-            return execute_shard(task, (network, injector))
-        kernel = compile_kernel(
-            network, backend=task.backend, injector=injector
-        )
-        _worker_shared = (network, injector, kernel)
-    network, injector, kernel = _worker_shared
+    """Pool task: route one shard on the worker's cell."""
+    network, injector, kernel = _worker_cell
     return execute_shard(task, (network, injector), kernel=kernel)
 
 
@@ -469,10 +449,9 @@ def run_sharded_lookups(
     keys, retry_budget, latency)`` — ``workers`` only chooses the
     fan-out, and ``backend`` only chooses each shard's lookup execution
     strategy (``"object"`` or the bit-identical ``"columnar"`` kernel,
-    DESIGN §S23).  ``setup`` runs exactly once per non-empty cell;
-    fault-mode shards route on restored copies of its network, while
-    fault-free shards share it and its compiled kernel, once per
-    process (module docstring).  ``workers=1`` (or a non-picklable
+    DESIGN §S23).  ``setup`` runs exactly once per non-empty cell, and
+    the shards of a process share its network and compiled kernel, in
+    fault mode too (module docstring).  ``workers=1`` (or a non-picklable
     ``observer``, or a single-shard plan) runs every shard in-process
     through the identical shard/merge path.  An attached :class:`~repro.sim.latency.LatencyModel`
     is a pure function of its seed, so records carry identical modeled
@@ -500,34 +479,19 @@ def run_sharded_lookups(
         for spec in specs
     ]
     if serial:
-        # Fault-free shards share the original and one kernel.  In fault
-        # mode the shards before the last route on copies unpacked from
-        # one packed capture of the still-pristine original (only copies
-        # are mutated); the final shard consumes the original itself, so
-        # a single-shard plan packs nothing at all.
-        shared = _fault_free(injector)
         kernel = compile_kernel(
             network, backend=backend, observer=observer, injector=injector
         )
-        packed = (
-            pack_network(network) if not shared and len(tasks) > 1 else None
-        )
-        results = []
-        for task in tasks:
-            copy = (
-                network
-                if shared or task is tasks[-1]
-                else unpack_network(packed)
-            )
-            results.append(
-                execute_shard(task, (copy, injector), observer, kernel)
-            )
+        results = [
+            execute_shard(task, (network, injector), observer, kernel)
+            for task in tasks
+        ]
     else:
         faults = FaultState.capture(injector) if injector is not None else None
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)),
             initializer=_enter_cell,
-            initargs=(network.snapshot(), faults),
+            initargs=(pack_network(network), faults, backend),
         ) as pool:
             results = list(pool.map(_execute_in_worker, tasks))
     return merge_shards(results)

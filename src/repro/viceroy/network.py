@@ -11,9 +11,10 @@ Routing follows the three phases of the Viceroy lookup (paper §2.4):
 
 Because joins and departures repair all incoming and outgoing links
 (§4.3: "before a node leaves and after a node joins, all the related
-nodes are updated"), links are derived from the live membership, lookups
-never observe a stale pointer, and the timeout count is identically
-zero — the behaviour Tables 4 and 5 report.  The flip side the paper
+nodes are updated"), links are derived from the live membership (and
+memoized until the next membership change), lookups never observe a
+stale pointer, and the timeout count is identically zero — the
+behaviour Tables 4 and 5 report.  The flip side the paper
 highlights is maintenance cost, which :meth:`ViceroyNetwork.join` /
 :meth:`leave` account for via :attr:`maintenance_updates`.
 """
@@ -125,6 +126,16 @@ class ViceroyNetwork(Network):
     # links (always consistent with the membership; see module docs)
     # ------------------------------------------------------------------
 
+    def _links(self, node: ViceroyNode) -> Tuple[Optional[ViceroyNode], ...]:
+        """(predecessor, successor, up, left down, right down, level
+        previous, level next): the seven links :meth:`next_hop` reads."""
+        return (
+            *self.general_ring(node),
+            self.up_link(node),
+            *self.down_links(node),
+            *self.level_ring(node),
+        )
+
     def up_link(self, node: ViceroyNode) -> Optional[ViceroyNode]:
         """The nearest level ``l-1`` node clockwise of the identity."""
         if node.level <= 1:
@@ -201,9 +212,10 @@ class ViceroyNetwork(Network):
     ) -> RoutingDecision:
         # Timeouts are identically zero: joins/leaves repair every
         # incoming link (§4.3), so no hop ever contacts a dead node.
-        # The general ring is read once per step: it decides
-        # responsibility here and supplies the traverse links below.
-        predecessor, successor = self.general_ring(current)
+        # The links are memoized until the next membership change.
+        predecessor, successor, up, left, right, level_prev, level_next = (
+            self._membership_memo(current, self._links)
+        )
         if predecessor is None or in_interval(
             key_id, predecessor.id, current.id, ID_SCALE
         ):
@@ -211,15 +223,12 @@ class ViceroyNetwork(Network):
 
         # Phase 1: ascend to a level-1 node.
         if walk.stage == _STAGE_ASCEND:
-            if current.level > 1:
-                up = self.up_link(current)
-                if up is not None and up is not current:
-                    return RoutingDecision.forward(up, PHASE_ASCENDING)
+            if up is not None and up is not current:  # None at level 1
+                return RoutingDecision.forward(up, PHASE_ASCENDING)
             walk.stage = _STAGE_DESCEND
 
         # Phase 2: descend the butterfly until no down link exists.
         if walk.stage == _STAGE_DESCEND:
-            left, right = self.down_links(current)
             distance = clockwise_distance(current.id, key_id, ID_SCALE)
             threshold = ID_SCALE >> min(current.level, ID_BITS)
             target = left if distance < threshold else right
@@ -232,7 +241,6 @@ class ViceroyNetwork(Network):
         # never stepping past the key (the leaf-set-style wrap guard).
         if in_interval(key_id, current.id, successor.id, ID_SCALE):
             return RoutingDecision.forward(successor, PHASE_TRAVERSE)
-        level_prev, level_next = self.level_ring(current)
         cw = clockwise_distance(current.id, key_id, ID_SCALE)
         ranked: List[Tuple[int, ViceroyNode]] = []
         offered = set()
@@ -391,9 +399,9 @@ class ViceroyNetwork(Network):
 
     def on_dead_entry(self, observer: ViceroyNode, dead: ViceroyNode) -> int:
         """Nothing to repair: Viceroy links are derived from the live
-        membership on every consultation, so no per-node routing state
-        can hold ``dead`` — a failed node is evicted from the rings by
-        :meth:`fail` before any lookup can probe it.  Only message-loss
+        membership (memoized only until it changes), so no per-node
+        routing state can hold ``dead`` — a failed node is evicted from
+        the rings by :meth:`fail` before any lookup can probe it.  Only message-loss
         retries, never dead-entry timeouts, occur under fault injection."""
         return 0
 

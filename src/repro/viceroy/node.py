@@ -8,8 +8,9 @@ size (paper §2.4 / Viceroy §2).
 Because Viceroy repairs both incoming and outgoing connections on every
 join and leave, a node's seven links are always consistent with the
 current membership; the simulator therefore derives them from the
-membership on demand (see :class:`repro.viceroy.network.ViceroyNetwork`)
-rather than caching copies that could never go stale anyway.
+membership (see :class:`repro.viceroy.network.ViceroyNetwork`), memoized
+in the network's membership cache until the next join or departure,
+rather than storing copies on the node.
 """
 
 from __future__ import annotations

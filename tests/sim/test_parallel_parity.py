@@ -6,11 +6,11 @@ keys, retry_budget)`` and ``workers`` only chooses the fan-out.  These
 tests pin that for every registered overlay at two (n, d) scales, and —
 the hard case — with an enabled :class:`~repro.sim.faults.FaultPlan`,
 where per-shard loss streams and lazy route repair would expose any
-cross-shard state leak.  The runner builds each cell once; fault-mode
-shards route on restored copies, fault-free shards share the one
-network and its compiled kernel.  :func:`fresh_build_reference` is the
-referee that instead calls ``setup()`` afresh for every shard, and the
-two must agree at every worker count.
+cross-shard state leak.  The runner builds each cell once, and every
+shard in a process routes on that one network (and its compiled
+kernel), rolling back its lazy repairs.  :func:`fresh_build_reference`
+is the referee that instead calls ``setup()`` afresh for every shard,
+and the two must agree at every worker count.
 
 ``GOLDEN_DIGESTS`` re-baselines the sharded workload stream once: the
 digests were captured from this implementation and must never drift
@@ -323,27 +323,32 @@ def _counting_seams(monkeypatch) -> dict:
     return counts
 
 
-@pytest.mark.parametrize("protocol", ["cycloid", "chord", "koorde"])
-def test_fault_mode_shards_route_on_fresh_copies(monkeypatch, protocol):
-    """An active FaultPlan mutates the network, so the serial path
-    still packs once and restores one copy per shard but the last; a
-    fault-free cell packs and unpacks nothing."""
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_crash_cell_routes_on_one_network(monkeypatch, protocol, workers):
+    """A crash+retry cell's shards share the prepared network: the
+    serial path packs and unpacks nothing (nor does a fault-free cell),
+    and each shard rolls back its lazy repairs, so the caller's network
+    packs to the same bytes after the cell as before it (the pool path
+    never touches it)."""
     counts = _counting_seams(monkeypatch)
+    network, injector = _fault_setup(protocol, 4, FAULT_PLAN)
+    before = _packed_bytes(network)
     merged = run_sharded_lookups(
-        partial(_fault_setup, protocol, 4, FAULT_PLAN),
+        lambda: (network, injector),
         LOOKUPS,
         SEED,
+        workers=workers,
         shard_size=SHARD_SIZE,
         retry_budget=6,
-        backend="columnar",
     )
-    assert merged.crashed > 0
-    assert counts == {"pack": 1, "unpack": merged.shards - 1}
-    counts.update(pack=0, unpack=0)
-    run_sharded_lookups(
-        _setup(protocol, 4), LOOKUPS, SEED, shard_size=SHARD_SIZE
-    )
-    assert counts == {"pack": 0, "unpack": 0}
+    assert merged.shards == 4 and merged.crashed > 0
+    assert _packed_bytes(network) == before
+    if workers == 1:
+        run_sharded_lookups(
+            _setup(protocol, 4), LOOKUPS, SEED, shard_size=SHARD_SIZE
+        )
+        assert counts == {"pack": 0, "unpack": 0}
 
 
 class _InlinePool:
@@ -376,7 +381,6 @@ def test_pool_task_size_does_not_grow_with_population(
     a task carries only its shard, so its pickle is the same size at
     n=64 and n=2048."""
     monkeypatch.setattr(parallel, "_worker_cell", None)
-    monkeypatch.setattr(parallel, "_worker_shared", None)
     sizes = {}
     for dimension in (4, 8):
         sizes[dimension] = []
