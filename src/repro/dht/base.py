@@ -29,12 +29,7 @@ from typing import (
 
 from repro.dht.metrics import LookupRecord
 from repro.dht.routing import LookupEngine, RoutingDecision, TraceObserver
-from repro.dht.snapshot import (
-    NetworkSnapshot,
-    clone_network,
-    pack_network,
-    unpack_network,
-)
+from repro.dht.snapshot import clone_network, pack_network, unpack_network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.sim.faults import FaultInjector
@@ -424,21 +419,8 @@ class Network(abc.ABC):
         return [counts[node.name] for node in self.live_nodes()]
 
     # ------------------------------------------------------------------
-    # snapshot / clone (DESIGN §S21)
+    # clone (DESIGN §S21)
     # ------------------------------------------------------------------
-
-    def snapshot(self) -> NetworkSnapshot:
-        """Capture this network as immutable, picklable bytes.
-
-        One snapshot per experiment cell is shipped to every worker
-        process; each restore yields a fresh, fully-independent copy
-        with identical routing state, so shards run against the
-        prepared network in O(state) instead of re-running the join
-        protocol.  Fault injectors are never part of the capture —
-        they reattach from the plan seed
-        (:class:`~repro.sim.faults.FaultState`).
-        """
-        return NetworkSnapshot.capture(self)
 
     def clone(self) -> "Network":
         """Fast in-process deep clone (no serialisation round-trip)."""

@@ -31,8 +31,8 @@ aspirational:
 
 Downstream, bulk columns feed every execution tier without the object
 graph: :func:`repro.dht.kernel.kernel_from_columns` compiles them for
-vectorized lookups, :meth:`CycloidColumns.snapshot` enters the snapshot
-codec, and :func:`bulk_setup` is a picklable
+vectorized lookups, ``to_packed`` yields the packed form the snapshot
+codec ships, and :func:`bulk_setup` is a picklable
 :func:`~repro.sim.parallel.run_sharded_lookups` setup callable.
 """
 
@@ -48,13 +48,10 @@ try:  # numpy is a hard dependency of bulk construction only
     import numpy as np
 except ImportError:  # pragma: no cover - exercised on minimal installs
     np = None  # type: ignore[assignment]
+else:
+    from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.dht.snapshot import (
-    NetworkSnapshot,
-    PackedNetwork,
-    index_column,
-    unpack_network,
-)
+from repro.dht.snapshot import PackedNetwork, index_column, unpack_network
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -83,6 +80,10 @@ SAMPLERS = ("exact", "fast")
 #: huge ``bits`` — the builders fall back to plain ``searchsorted``,
 #: which computes identical values.
 RANK_TABLE_SPACE_LIMIT = 1 << 24
+
+#: Rows per finger-table gather: bounds the ``[rows, bits]`` index
+#: temporary to a few MB.
+_FINGER_BLOCK = 1 << 14
 
 
 def _require_numpy() -> None:
@@ -242,11 +243,11 @@ class CycloidColumns:
         # Membership containers in their object insertion orders: the
         # node map keyed in sample order; the cycle/row maps keyed by
         # first occurrence in the sample, each value list sorted.
-        cycle_sorted = np.lexsort((self.cyc, self.cub))
+        cycle_sorted = _sort_distinct(self.lin, self.space)[0]
         occ, occ_start, occ_size = np.unique(
             self.cub[cycle_sorted], return_index=True, return_counts=True
         )
-        row_sorted = np.lexsort((self.cub, self.cyc))
+        row_sorted = _sort_distinct((self.cyc << d) + self.cub, self.space)[0]
         row_keys, row_start, row_size = np.unique(
             self.cyc[row_sorted], return_index=True, return_counts=True
         )
@@ -318,9 +319,6 @@ class CycloidColumns:
         builder's, per the digest-parity pin)."""
         return unpack_network(self.to_packed())
 
-    def snapshot(self) -> NetworkSnapshot:
-        return NetworkSnapshot.from_packed(self.to_packed())
-
 
 def build_cycloid_columns(
     count: int,
@@ -365,45 +363,51 @@ def build_cycloid_columns(
     n = count
     cyc = lin % d
     cub = lin // d
-    node_arange = np.arange(n, dtype=np.int64)
+
+    # n-sized temporaries are dropped as soon as they are used: once
+    # freed, the heap they grew stays resident, so this build's
+    # high-water mark becomes the resident floor of what follows it.
 
     # -- cycle structure: nodes grouped by cubical, sorted by cyclic --
-    cycle_sorted = np.lexsort((cyc, cub))  # sorted pos -> sample index
-    sorted_cub = cub[cycle_sorted]
+    # ``lin`` orders (cubical, cyclic) lexicographically on its own.
+    cycle_sorted, sorted_lin = _sort_distinct(lin, d * modulus)
+    sorted_cub = sorted_lin // d  # cycle_sorted: sorted pos -> sample index
+    del sorted_lin
     bounds = np.flatnonzero(
         np.concatenate(([True], sorted_cub[1:] != sorted_cub[:-1]))
     )
     occ = sorted_cub[bounds]  # occupied cubicals, ascending
+    del sorted_cub
     occ_start = bounds
     occ_size = np.diff(np.concatenate((bounds, [n])))
-    occ_rank = _rank_table(occ, modulus)
-    if occ_rank is not None:
-        group_of = occ_rank[cub].astype(np.int64)
-    else:
-        group_of = np.searchsorted(occ, cub)  # per node: its cycle's rank
-    gstart = occ_start[group_of]
-    gsize = occ_size[group_of]
-    rank_sorted = np.arange(n) - np.repeat(occ_start, occ_size)
-    cycle_rank = np.empty(n, dtype=np.int64)
-    cycle_rank[cycle_sorted] = rank_sorted
 
-    # -- inside leaf sets: ±(1+i) neighbours on the node's own cycle --
+    # -- inside leaf sets: ±(1+i) neighbours on the node's own cycle,
+    # found per sorted position and scattered to the nodes --
     radius = leaf_radius
-    multi = gsize > 1
-    inside_len = np.where(multi, np.minimum(radius, gsize - 1), 1)
-    il = np.full((n, radius), -1, dtype=np.int64)
-    ir = np.full((n, radius), -1, dtype=np.int64)
+    start = np.repeat(occ_start, occ_size)
+    size = np.repeat(occ_size, occ_size)
+    rank = np.arange(n) - start
+    inside_len = np.empty(n, dtype=np.int32)
+    inside_len[cycle_sorted] = np.clip(size - 1, 1, radius)
+    il = np.full((n, radius), -1, dtype=np.int32)
+    ir = np.full((n, radius), -1, dtype=np.int32)
     for i in range(radius):
-        valid = multi & (i < inside_len)
-        left_pos = gstart + (cycle_rank - 1 - i) % gsize
-        right_pos = gstart + (cycle_rank + 1 + i) % gsize
-        il[:, i] = np.where(valid, cycle_sorted[left_pos], il[:, i])
-        ir[:, i] = np.where(valid, cycle_sorted[right_pos], ir[:, i])
+        valid = i < size - 1
+        at = cycle_sorted[valid]
+        il[at, i] = cycle_sorted[(start + (rank - 1 - i) % size)[valid]]
+        ir[at, i] = cycle_sorted[(start + (rank + 1 + i) % size)[valid]]
     # A singleton cycle's two inside entries are the node itself.
-    il[~multi, 0] = node_arange[~multi]
-    ir[~multi, 0] = node_arange[~multi]
+    alone = cycle_sorted[size == 1]
+    il[alone, 0] = alone
+    ir[alone, 0] = alone
+    del start, size, rank, alone
 
     # -- outside leaf sets: the large-cycle walk, then a member pick --
+    occ_rank = _rank_table(occ, modulus)
+    if occ_rank is not None:
+        group_of = occ_rank[cub]
+    else:
+        group_of = np.searchsorted(occ, cub)  # per node: its cycle's rank
     total_cycles = occ.size
     if total_cycles == 1:
         # The only non-empty cycle wraps onto itself.
@@ -415,7 +419,8 @@ def build_cycloid_columns(
         steps = np.arange(1, t + 1, dtype=np.int64)[None, :]
         left_ranks = (group_of[:, None] - steps) % total_cycles
         right_ranks = (group_of[:, None] + steps) % total_cycles
-    outside_len = np.full(n, t, dtype=np.int64)
+    del group_of
+    outside_len = np.full(n, t, dtype=np.int32)
     if leaf_selection == "primary":
         # Vectorized: the primary is the last (largest-cyclic) member
         # of each sorted cycle group.
@@ -423,36 +428,34 @@ def build_cycloid_columns(
         ol = primary_idx[left_ranks]
         outr = primary_idx[right_ranks]
     else:
-        ol = np.empty((n, t), dtype=np.int64)
-        outr = np.empty((n, t), dtype=np.int64)
+        ol = np.empty((n, t), dtype=np.int32)
+        outr = np.empty((n, t), dtype=np.int32)
         _pick_outside_members(
             ol, outr, left_ranks, right_ranks, leaf_selection, latency,
             lin, cyc, cycle_sorted, occ, occ_start, occ_size,
         )
+    del left_ranks, right_ranks, cycle_sorted
 
     # -- routing table: per cyclic-index row k-1, sorted by cubical --
-    row_sorted = np.lexsort((cub, cyc))
-    sorted_cyc = cyc[row_sorted]
-    row_bounds = np.flatnonzero(
-        np.concatenate(([True], sorted_cyc[1:] != sorted_cyc[:-1]))
-    )
-    row_ends = np.concatenate((row_bounds[1:], [n]))
+    row_sorted, row_keys = _sort_distinct((cyc << d) + cub, d * modulus)
+    row_ends = np.searchsorted(row_keys, np.arange(1, d + 1) * modulus)
     rows_by_cyc = {}
-    for at, value in enumerate(sorted_cyc[row_bounds].tolist()):
-        segment = row_sorted[int(row_bounds[at]) : int(row_ends[at])]
-        seg_cub = cub[segment]
-        rows_by_cyc[value] = (seg_cub, segment, _rank_table(seg_cub, modulus))
+    lo = 0
+    for value, hi in enumerate(row_ends.tolist()):
+        if hi > lo:
+            seg_cub = row_keys[lo:hi] - value * modulus
+            segment = row_sorted[lo:hi]
+            rows_by_cyc[value] = (seg_cub, segment, _rank_table(seg_cub, modulus))
+        lo = hi
 
     cn = np.full(n, -1, dtype=np.int32)
     cl = np.full(n, -1, dtype=np.int32)
     cs = np.full(n, -1, dtype=np.int32)
     for k in range(1, d):
-        sel = np.flatnonzero(cyc == k)
-        if sel.size == 0:
-            continue
-        row = rows_by_cyc.get(k - 1)
-        if row is None:
-            continue  # no node of cyclic k-1: all three entries stay void
+        own, row = rows_by_cyc.get(k), rows_by_cyc.get(k - 1)
+        if own is None or row is None:
+            continue  # no node of cyclic k, or none of k-1: all void
+        a, sel, _ = own
         row_cub, row_idx, rank = row
         m = row_cub.size
         if rank is not None:
@@ -471,7 +474,6 @@ def build_cycloid_columns(
             def right_rank(q):
                 return np.searchsorted(row_cub, q, side="right")
 
-        a = cub[sel]
         block = 1 << k
         flipped = ((a >> k) ^ 1) << k
         anchor = flipped | (a & (block - 1))
@@ -550,6 +552,20 @@ def _narrow_refs(array):
     """Reference columns in the narrowest safe dtype (int32 in
     practice; indices are bounded by the population)."""
     return array.astype(np.int32, copy=False)
+
+
+def _sort_distinct(keys, space: int):
+    """``(order, keys[order])`` for ``keys`` — distinct ints in
+    ``[0, space)`` — sorted ascending: one counting scatter over the
+    space while it fits ``RANK_TABLE_SPACE_LIMIT``, an ``argsort``
+    beyond it (the same values: distinct keys leave no ties)."""
+    if space > RANK_TABLE_SPACE_LIMIT:
+        order = np.argsort(keys)
+        return order, keys[order]
+    slot = np.full(space, -1, dtype=np.int32)
+    slot[keys] = np.arange(keys.size, dtype=np.int32)
+    occupied = slot >= 0
+    return slot[occupied], np.flatnonzero(occupied)
 
 
 def _rank_table(sorted_values, space: int):
@@ -692,9 +708,6 @@ class ChordColumns:
     def to_network(self):
         return unpack_network(self.to_packed())
 
-    def snapshot(self) -> NetworkSnapshot:
-        return NetworkSnapshot.from_packed(self.to_packed())
-
 
 def build_chord_columns(
     count: int,
@@ -706,9 +719,11 @@ def build_chord_columns(
 ) -> ChordColumns:
     """Vectorized equivalent of ``ChordNetwork.with_random_ids``.
 
-    Ring order is one argsort; successor runs are consecutive ring
-    slots, the predecessor the preceding slot, and the whole finger
-    table one ``searchsorted`` per bit.
+    Ring order is one counting scatter; every successor run is a row
+    of one sliding window over the ring, the predecessor the preceding
+    slot, and the finger table one gather per block of rows from an
+    id -> owner table (``searchsorted`` per bit beyond the rank-table
+    limit).
     """
     _require_numpy()
     if successor_list_size is None:
@@ -718,30 +733,39 @@ def build_chord_columns(
     modulus = 1 << bits
     ids = bulk_ids(count, modulus, seed, sampler)
     n = count
-    ring_order = np.argsort(ids)  # ring slot -> sample index
-    sorted_ids = ids[ring_order]
-    ring_order = _narrow_refs(ring_order)
-    slot_of = np.empty(n, dtype=np.int64)
-    slot_of[ring_order] = np.arange(n)
+    order, sorted_ids = _sort_distinct(ids, modulus)
+    ring_order = _narrow_refs(order)  # ring slot -> sample index
 
+    # Successor runs are the rows of one sliding window over the ring
+    # (wrapped ``take`` slots past its end), scattered to their nodes.
     take = min(successor_list_size, n - 1)
+    wrapped = np.concatenate((ring_order, ring_order[:take]))
     successors = np.empty((n, take), dtype=np.int32)
-    for j in range(take):
-        successors[:, j] = ring_order[(slot_of + 1 + j) % n]
+    successors[ring_order] = sliding_window_view(wrapped[1:], take)
+    del wrapped
+    predecessor = np.full(n, -1, dtype=np.int32)
     if n > 1:
-        predecessor = ring_order[(slot_of - 1) % n]
-    else:
-        predecessor = np.full(n, -1, dtype=np.int32)
+        predecessor[ring_order] = np.roll(ring_order, 1)
 
     rank = _rank_table(sorted_ids, modulus)
     fingers = np.empty((n, bits), dtype=np.int32)
-    for i in range(bits):
-        target = (ids + (1 << i)) % modulus
-        if rank is not None:
-            slot = rank[target]
-        else:
+    if rank is not None:
+        # owner[x]: the node owning id x, over two laps of the ring so
+        # that ``id + 2^i`` needs no modulo.  Blocks run in ring order,
+        # so each block's reads climb through the table.
+        owner = np.append(ring_order, ring_order[0])[rank[:modulus]]
+        owner = np.concatenate((owner, owner))
+        del rank
+        reach = 1 << np.arange(bits, dtype=np.int64)
+        for lo in range(0, n, _FINGER_BLOCK):
+            hi = lo + _FINGER_BLOCK
+            fingers[ring_order[lo:hi]] = owner[sorted_ids[lo:hi, None] + reach]
+        del owner
+    else:
+        for i in range(bits):
+            target = (ids + (1 << i)) % modulus
             slot = np.searchsorted(sorted_ids, target, side="left")
-        fingers[:, i] = ring_order[slot % n]
+            fingers[:, i] = ring_order[slot % n]
 
     return ChordColumns(
         bits=bits,
@@ -753,7 +777,7 @@ def build_chord_columns(
         sorted_index=ring_order,
         fingers=fingers,
         successors=successors,
-        predecessor=_narrow_refs(predecessor),
+        predecessor=predecessor,
     )
 
 

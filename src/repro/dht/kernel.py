@@ -684,12 +684,12 @@ class CycloidKernel(_KernelBase):
         # The keep-first dedupe by id only matters when some node's
         # leaf set actually repeats an identifier (tiny cycles, few
         # occupied cycles); prove its absence once at compile time.
+        # Live ids are distinct, so an all-live universe compares node
+        # indices; otherwise ids, gathered through a -1 sentinel.
         leaf_w = self.leaf_all.shape[1]
-        lid = np.where(
-            self.leaf_all >= 0,
-            self.lin[np.maximum(self.leaf_all, 0)],
-            np.int64(-1),
-        )
+        lid = self.leaf_all
+        if not self.all_alive:
+            lid = np.append(self.lin, -1)[lid]
         self.leaf_dup_free = not any(
             bool(
                 (
@@ -701,22 +701,19 @@ class CycloidKernel(_KernelBase):
         )
 
         # Owner oracle: sorted occupied cycles plus a [cycles, d]
-        # member matrix.  The packed distance's primary component is
-        # the cubical circular distance, so the global argmin lives in
-        # the first occupied cycle at-or-after the key or the first
-        # one before it — every other cycle is strictly farther on
-        # both arcs.
-        live_idx = np.flatnonzero(self.alive)
-        live_cub = self.cub[live_idx]
-        occ = np.unique(live_cub)
-        group = np.searchsorted(occ, live_cub)
-        order = np.argsort(group, kind="stable")
-        grouped = group[order]
-        starts = np.searchsorted(grouped, np.arange(occ.size))
-        rank = np.arange(live_idx.size, dtype=np.int64) - starts[grouped]
-        members = np.full((occ.size, d), -1, dtype=np.int32)
-        members[grouped, rank] = live_idx[order]
-        self.occ_cycles = occ
+        # member matrix, each live node at column = its cyclic index
+        # (live ids are distinct; `_owners` takes an argmin over a
+        # strict total order, so a row's layout is free).  The packed
+        # distance's primary component is the cubical circular
+        # distance, so the global argmin lives in the first occupied
+        # cycle at-or-after the key or the first one before it — every
+        # other cycle is strictly farther on both arcs.
+        live = np.flatnonzero(self.alive)
+        cub = self.cub[live]
+        occupied = np.bincount(cub, minlength=self.modulus) > 0
+        self.occ_cycles = np.flatnonzero(occupied)
+        members = np.full((self.occ_cycles.size, d), -1, dtype=np.int32)
+        members[(np.cumsum(occupied) - 1)[cub], self.cyc[live]] = live
         self.cycle_members = members
 
         # The cascade runs as ONE namespaced sort: every segment key is

@@ -18,9 +18,9 @@ O(state):
   every node shell first, then fill slots — so arbitrary pointer
   cycles (successor lists, leaf sets, de Bruijn chains, CAN neighbour
   lists) restore without recursion.
-* :class:`NetworkSnapshot` wraps the pickled bytes for cross-process
-  shipment; :func:`clone_network` is the in-process fast path (pack +
-  unpack, no serialisation).
+* a :class:`PackedNetwork` pickles flat for cross-process shipment;
+  :func:`clone_network` is the in-process fast path (pack + unpack, no
+  serialisation).
 
 What is captured: node slots, membership containers
 (:class:`~repro.dht.ring.SortedRing`,
@@ -36,7 +36,6 @@ suite pins that for every overlay, with and without faults.
 
 from __future__ import annotations
 
-import pickle
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -52,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.dht.base import Network, Node
 
 __all__ = [
-    "NetworkSnapshot",
     "PackedNetwork",
     "index_column",
     "pack_network",
@@ -506,68 +504,3 @@ def unpack_network(packed: PackedNetwork) -> "Network":
 def clone_network(network: "Network") -> "Network":
     """In-process deep clone via pack/unpack — no serialisation cost."""
     return unpack_network(pack_network(network))
-
-
-class _PackedRestore:
-    """Pickle shim: a payload that unpickles into the live network."""
-
-    __slots__ = ("packed",)
-
-    def __init__(self, packed: PackedNetwork) -> None:
-        self.packed = packed
-
-    def __reduce__(self):
-        return (unpack_network, (self.packed,))
-
-
-@dataclass(frozen=True)
-class NetworkSnapshot:
-    """An immutable capture of a prepared network.
-
-    ``payload`` is the pickled :class:`PackedNetwork` (the network's
-    ``__getstate__`` delegates to :func:`pack_network`, so the bytes
-    are flat and recursion-safe).  One snapshot is taken per experiment
-    cell and shipped to every worker; each :meth:`restore` yields a
-    fresh, fully-independent copy.
-    """
-
-    payload: bytes
-    protocol: str
-    population: int
-
-    @classmethod
-    def capture(cls, network: "Network") -> "NetworkSnapshot":
-        return cls(
-            payload=pickle.dumps(network, pickle.HIGHEST_PROTOCOL),
-            protocol=network.protocol_name,
-            population=network.size,
-        )
-
-    @classmethod
-    def from_packed(cls, packed: PackedNetwork) -> "NetworkSnapshot":
-        """A snapshot straight from a :class:`PackedNetwork`.
-
-        This is how bulk-built networks (:mod:`repro.dht.bulkbuild`)
-        enter the snapshot pipeline without ever instantiating the
-        object graph on the producing side: the payload unpickles via
-        :func:`unpack_network`, exactly like a captured network's
-        ``__setstate__`` path.  Only valid for packed forms whose
-        nodes are all live (true of any freshly built network) —
-        ``population`` is taken from the node count.
-        """
-        return cls(
-            payload=pickle.dumps(
-                _PackedRestore(packed), pickle.HIGHEST_PROTOCOL
-            ),
-            protocol=packed.network_class.protocol_name,
-            population=packed.node_count,
-        )
-
-    def restore(self) -> "Network":
-        return pickle.loads(self.payload)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<NetworkSnapshot {self.protocol} n={self.population} "
-            f"{len(self.payload)} bytes>"
-        )

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import repro.dht.bulkbuild as bulkbuild
 from repro.chord.network import ChordNetwork
 from repro.core.network import CycloidNetwork
+from repro.dht.identifiers import CycloidId
 from repro.dht.bulkbuild import (
     SAMPLERS,
     build_chord_columns,
@@ -115,18 +116,26 @@ class TestDigestParity:
         assert bulk == golden
 
     def test_rank_table_fallback_is_value_identical(self, monkeypatch):
-        """Huge id spaces skip the occupancy tables; the searchsorted
-        path must produce the same bytes."""
-        with_tables = (
-            packed_digest(build_cycloid_columns(200, 8, seed=9).to_packed()),
-            packed_digest(build_chord_columns(200, 9, seed=9).to_packed()),
+        """Each fast path against its fallback, by packed digest.
+
+        Limit 256 sends only Cycloid's one-key orderings (id space
+        8 * 2^8) from the counting scatter to ``argsort``; its row rank
+        tables (space 2^8) stay.  Limit 0 also sends Chord's fingers
+        from the id -> owner table to ``searchsorted`` per bit.  The
+        sliding-window successors have no fallback, so a run wrapping
+        past the ring's end is held against the object builder."""
+        builds = (
+            partial(build_cycloid_columns, 200, 8, seed=9),
+            partial(build_chord_columns, 200, 9, seed=9),
+            partial(build_chord_columns, 6, 9, seed=9, successor_list_size=9),
         )
-        monkeypatch.setattr(bulkbuild, "RANK_TABLE_SPACE_LIMIT", 0)
-        without = (
-            packed_digest(build_cycloid_columns(200, 8, seed=9).to_packed()),
-            packed_digest(build_chord_columns(200, 9, seed=9).to_packed()),
-        )
-        assert with_tables == without
+        digests = []
+        for limit in (bulkbuild.RANK_TABLE_SPACE_LIMIT, 256, 0):
+            monkeypatch.setattr(bulkbuild, "RANK_TABLE_SPACE_LIMIT", limit)
+            digests.append([packed_digest(b().to_packed()) for b in builds])
+        assert digests[0] == digests[1] == digests[2]
+        golden = _chord_digests(6, 9, 9, successor_list_size=9)[1]
+        assert digests[0][2] == golden
 
 
 class TestColumns:
@@ -219,6 +228,61 @@ class TestKernelFromColumns:
         assert np.array_equal(
             bulk_ids_[ours["final"]], object_ids[theirs["final"]]
         )
+
+
+def _sparse_cycloid(dimension, count, shape):
+    """The first seed whose bulk build has the wanted cycle sizes."""
+    wanted = {
+        "one cycle": lambda sizes: sizes.size == 1,
+        "singletons": lambda sizes: bool((sizes == 1).all()),
+        "pairs": lambda sizes: bool((sizes == 2).any()),
+    }[shape]
+    for seed in range(1000):
+        cols = build_cycloid_columns(count, dimension, seed=seed)
+        sizes = np.bincount(cols.cub)
+        if wanted(sizes[sizes > 0]):
+            return cols, seed
+    raise AssertionError(f"no seed below 1000 gives {shape}")
+
+
+class TestOwnerOracle:
+    @pytest.mark.parametrize(
+        "dimension, count, shape",
+        [
+            (4, 1, "one cycle"),
+            (3, 2, "one cycle"),
+            (6, 8, "singletons"),
+            (5, 12, "pairs"),
+        ],
+    )
+    def test_bulk_and_object_compiles_agree(self, dimension, count, shape):
+        """The compile-time owner oracle of a sparse bulk build equals
+        the object-compiled one: the same occupied cycles, the same
+        members per cycle (row layout is free) and the same leaf
+        dedupe proof; and both resolve every key of the id space to
+        the object network's ground-truth owner."""
+        cols, seed = _sparse_cycloid(dimension, count, shape)
+        bulk = kernel_from_columns(cols)
+        network = CycloidNetwork.with_random_ids(count, dimension, seed=seed)
+        obj = compiler_for("cycloid")(network)
+        assert np.array_equal(bulk.occ_cycles, obj.occ_cycles)
+        assert bulk.cycle_members.shape == obj.cycle_members.shape
+        for ours, theirs in zip(bulk.cycle_members, obj.cycle_members):
+            assert set(bulk.lin[ours[ours >= 0]].tolist()) == set(
+                obj.lin[theirs[theirs >= 0]].tolist()
+            )
+        assert bulk.leaf_dup_free == obj.leaf_dup_free
+        if shape == "pairs":
+            assert not bulk.leaf_dup_free
+        keys = np.arange(cols.space, dtype=np.int64)
+        kcub, kcyc = keys // dimension, keys % dimension
+        truth = [
+            network.owner_of_id(CycloidId(cyclic, cubical, dimension)).id.linear
+            for cyclic, cubical in zip(kcyc.tolist(), kcub.tolist())
+        ]
+        for kernel in (bulk, obj):
+            owners = kernel.lin[kernel._owners(kcub, kcyc, keys)]
+            assert owners.tolist() == truth
 
 
 def _bulk_fault_setup(protocol):

@@ -15,12 +15,7 @@ import sys
 
 import pytest
 
-from repro.dht.snapshot import (
-    NetworkSnapshot,
-    clone_network,
-    pack_network,
-    unpack_network,
-)
+from repro.dht.snapshot import clone_network, pack_network, unpack_network
 from repro.experiments.common import run_lookups
 from repro.experiments.registry import ALL_PROTOCOLS, build_complete_network
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -51,11 +46,14 @@ class TestPickleRoundTrip:
         assert _digest(clone) == _digest(restored) == _digest(network)
 
     def test_snapshot_restore_is_fresh_each_time(self, protocol, dimension):
-        snapshot = NetworkSnapshot.capture(
-            build_complete_network(protocol, dimension, seed=SEED)
+        """One shipped packed form restores a fresh copy per unpack —
+        the pool initializer's path."""
+        payload = pickle.dumps(
+            pack_network(build_complete_network(protocol, dimension, seed=SEED)),
+            pickle.HIGHEST_PROTOCOL,
         )
-        first = snapshot.restore()
-        second = snapshot.restore()
+        first = unpack_network(pickle.loads(payload))
+        second = unpack_network(pickle.loads(payload))
         assert first is not second
         assert _digest(first) == _digest(second)
         live_a = {node.name for node in first.live_nodes()}

@@ -3,7 +3,8 @@
 Hypothesis drives a random membership-operation sequence against a
 *clone* and asserts the original never changes: same membership, same
 lookup digest, byte-identical packed form.  Mutating the original
-instead and re-checking a pre-taken snapshot pins the other direction.
+instead and re-checking restores of a pre-taken packed form pins the
+other direction.
 This is the §S21 safety property — the parallel engine hands every
 fault-mode shard (and every pool worker) a restored copy and relies on
 restores never sharing mutable state with the prepared network or with
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dht.snapshot import clone_network, pack_network
+from repro.dht.snapshot import clone_network, pack_network, unpack_network
 from repro.experiments.common import run_lookups
 from repro.experiments.registry import ALL_PROTOCOLS, build_sized_network
 from tests.properties.test_op_sequences import apply_operations
@@ -77,9 +78,9 @@ def test_mutating_clone_leaves_original_untouched(protocol, ops):
 @given(ops=operations)
 def test_mutating_original_leaves_snapshot_restores_untouched(protocol, ops):
     network = _network(protocol)
-    snapshot = network.snapshot()
-    reference = _fingerprint(snapshot.restore())
+    packed = pack_network(network)
+    reference = _fingerprint(unpack_network(packed))
 
     apply_operations(network, ops, tag=f"orig-{protocol}")
 
-    assert _fingerprint(snapshot.restore()) == reference
+    assert _fingerprint(unpack_network(packed)) == reference
