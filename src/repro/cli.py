@@ -1,153 +1,162 @@
 """Command-line interface: regenerate any of the paper's experiments.
 
-Usage::
+Every command is one row of :data:`COMMANDS`: its help, its options,
+the shared options it takes, the runner it calls and the table its
+result prints as.  The parser, the ``--trace`` gating and dispatch are
+derived from that table, so adding a figure is adding one row.
+``repro <command> --help`` lists a command's options and defaults.
 
-    python -m repro.cli fig5  [--lookups N] [--dimensions 3 4 5]
-    python -m repro.cli fig7
-    python -m repro.cli fig8  [--nodes 2000] [--keys 10000 ...]
-    python -m repro.cli fig10
-    python -m repro.cli fig11 [--lookups N]
-    python -m repro.cli fig12 [--rates 0.05 0.4] [--duration SECONDS]
-    python -m repro.cli fig13
-    python -m repro.cli fig14
-    python -m repro.cli fig-crash [--crash-prob 0.1 0.3] [--msg-loss P]
-    python -m repro.cli fig-latency [--dimension D] [--latency-seed S]
-    python -m repro.cli fig-adversary [--population N] [--fractions F ...]
-    python -m repro.cli fig-scale [--counts N ...] [--lookups N]
-    python -m repro.cli maint [--lookups N]
-    python -m repro.cli table1
-    python -m repro.cli serve [--protocol P] [--dimension D] [--servers N]
-    python -m repro.cli loadgen [--clients N] [--lookups N] [--puts N]
-    python -m repro.cli churnstorm [--replicas R] [--kills N] [--rate R]
-
-Each command prints the reproduced table; the heavier sweeps accept
-size knobs so a laptop run can be scaled down.
-
-Every figure command accepts ``--workers N`` to fan its experiment out
-over N processes through :mod:`repro.sim.parallel`; the output is
-bit-identical at any worker count (``tests/sim/test_parallel_parity.py``
-and CI's parity step check exactly that).
-
-The pure-lookup commands (fig5/6/7, fig14, fig-crash) also accept
-``--backend {object,columnar}``: ``object`` (default) routes each
-lookup hop-at-a-time over the node graph, ``columnar`` executes the
-whole batch as vectorized numpy sweeps (DESIGN §S23) — the records are
-bit-identical, the kernel is just faster (``perfbench``'s
-``paper-sim`` workload times it).
-
-``--trace PATH`` (on the lookup-driven commands: fig5/6/7, fig10,
-fig11, fig12, fig13, fig14, fig-crash, maint) streams every routing
-hop as one JSON line to ``PATH`` — see
-:class:`repro.dht.routing.JsonlTraceSink`.  Tracing forces in-process
-execution (the sink holds a file handle), overriding ``--workers``.
-
-``serve`` boots a built overlay as a cluster of asyncio node servers
-on loopback (DESIGN S22) and writes an attachable spec file;
-``loadgen`` drives such a cluster (its own, or one attached via
-``--cluster-file``) with concurrent closed-loop clients and writes a
-digest-checked ``BENCH_net.json``.  On ``loadgen``, ``--trace``
-captures the *live* per-RPC hop stream (the engine's JSONL hop schema
-plus ``rpc`` and ``latency_ms`` fields).
-
-``churnstorm`` (DESIGN S24) boots a replicated cluster and batters it:
-an open-loop Poisson/Zipf workload fired at scheduled times
-(coordinated-omission-free latency) while a seeded churn plan crashes
-and rejoins virtual nodes mid-run; afterwards every acknowledged PUT is
-read back and the command exits non-zero if any acknowledged key was
-lost.  With ``--replicas >= 2`` the acceptance bar is a survival rate
-of exactly 1.0.
+``--workers N`` output is bit-identical at any N, and ``--backend
+columnar`` (the vectorized kernel, DESIGN §S23) is bit-identical to the
+default ``object`` engine.  ``--trace PATH`` streams every routing hop
+as one JSON line (:class:`repro.dht.routing.JsonlTraceSink`) and forces
+in-process execution; on ``loadgen`` it captures the live per-RPC hops.
+``serve``, ``loadgen`` and ``churnstorm`` run a built overlay as a
+cluster of asyncio node servers on loopback (DESIGN S22, S24).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import experiments as ex
 from repro.analysis import format_table
-from repro.dht.routing import JsonlTraceSink, TraceObserver
-from repro.experiments import (
-    architecture_table,
-    run_churn_experiment,
-    run_crash_experiment,
-    run_key_distribution_experiment,
-    run_koorde_sparsity_breakdown,
-    run_maintenance_experiment,
-    run_mass_departure_experiment,
-    run_path_length_experiment,
-    run_phase_breakdown_experiment,
-    run_query_load_experiment,
-    run_sparsity_experiment,
-)
-from repro.experiments.adversary import (
-    ADVERSARY_PROTOCOLS,
-    DEFAULT_FRACTIONS,
-)
-from repro.experiments.registry import ALL_PROTOCOLS
-from repro.experiments.scale import SCALE_COUNTS, SCALE_PROTOCOLS
 from repro.dht.bulkbuild import SAMPLERS
 from repro.dht.kernel import BACKENDS
+from repro.dht.routing import JsonlTraceSink
+from repro.experiments.adversary import ADVERSARY_PROTOCOLS, DEFAULT_FRACTIONS
+from repro.experiments.registry import ALL_PROTOCOLS
+from repro.experiments.scale import SCALE_COUNTS, SCALE_PROTOCOLS
+from repro.net.loadgen import validate_net_report
 
-__all__ = ["main", "build_parser"]
+__all__ = ["COMMANDS", "Command", "build_parser", "main", "parse_args"]
 
+#: The run seed when neither ``--seed`` nor the command's row sets one.
+DEFAULT_SEED = 42
 
-def _add_workers(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan the experiment out over N processes; the output is "
-        "bit-identical at any worker count (default: 1)",
-    )
+Option = Tuple[str, Dict[str, Any]]
+#: A table column: its header and the cell it shows for one item.
+Column = Tuple[str, Callable[[Any], object]]
 
-
-def _add_backend(subparser: argparse.ArgumentParser) -> None:
-    # argparse's choices= produces the same actionable error shape as
-    # run_sharded_lookups: name the bad value, list the valid choices.
-    subparser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="object",
-        help="lookup execution backend: 'object' walks the node graph "
-        "hop-at-a-time (default), 'columnar' runs the vectorized numpy "
-        "kernel (DESIGN S23); both produce bit-identical records",
-    )
+#: Shared options a row takes.  ``"trace"`` streams engine hops to a
+#: sink; ``"live-trace"`` hands the path to a runner that traces itself.
+ENGINE = ("workers", "backend", "trace")
+ROUTED = ("workers", "trace")
 
 
-def _add_latency_model(
-    subparser: argparse.ArgumentParser, default_seed: Optional[int]
-) -> None:
-    """The §S25 link-model knobs.
+def _opt(flag: str, default: Any = None, help: str = "", **extra) -> Option:
+    """One option as data: its type follows ``default`` (a list takes
+    one or more values, a bool is a switch) unless ``extra`` sets it,
+    and its help ends with the default."""
+    kwargs: Dict[str, Any] = {"default": default}
+    if isinstance(default, bool):
+        kwargs["action"] = "store_true"
+    else:
+        sample = default[0] if isinstance(default, list) else default
+        if isinstance(default, list):
+            kwargs["nargs"] = "+"
+        if sample is not None:
+            kwargs["type"] = type(sample)
+        help = f"{help} (default: %(default)s)".lstrip()
+    return flag, {**kwargs, "help": help, **extra}
 
-    With ``default_seed=None`` the model is opt-in (``serve`` /
-    ``loadgen`` run without one unless ``--latency-seed`` is given);
-    ``fig-latency`` defaults it on.
+
+@dataclass(frozen=True)
+class Report:
+    """The JSON report a command validates and writes to ``--output``."""
+
+    path: str
+    noun: str
+    validate: Callable[[Dict[str, object]], None]
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command.
+
+    A row with ``columns`` is a table command: ``run(args, **common)``
+    gets ``seed`` plus ``observer`` / ``workers`` / ``backend`` when it
+    ``takes`` them; a ``report`` result is written to ``--output``.  One
+    table line prints per result item (per report cell) under ``title``
+    (formatted with ``args`` and ``result``), then ``footer(result)``.
+    A row without columns is a live command: ``run(args)`` prints for
+    itself and returns the exit status.  ``help`` defaults to the title;
+    a row with its own ``seed`` also accepts ``--seed`` after its name.
     """
-    subparser.add_argument(
-        "--latency-seed",
-        type=int,
-        default=default_seed,
-        metavar="SEED",
-        help="seed of the link delay model"
-        + (
-            " (default: off — hops take no modeled time)"
-            if default_seed is None
-            else f" (default: {default_seed})"
+
+    name: str
+    options: Tuple[Option, ...]
+    run: Callable[..., Any]
+    title: str = ""
+    columns: Tuple[Column, ...] = ()
+    help: str = ""
+    footer: Optional[Callable[[Any], Optional[str]]] = None
+    takes: Tuple[str, ...] = ()
+    report: Optional[Report] = None
+    seed: Optional[int] = None
+
+
+def _calls(experiment: Callable, *names: str, **renames: str):
+    """The runner passing ``args.<name>`` as ``<name>=`` (and each
+    ``keyword="attr"`` rename) to ``experiment``; lists become tuples."""
+    params = {**{name: name for name in names}, **renames}
+
+    def run(args: argparse.Namespace, **common):
+        values = {key: getattr(args, attr) for key, attr in params.items()}
+        for key, value in values.items():
+            if isinstance(value, list):
+                values[key] = tuple(value)
+        return experiment(**values, **common)
+
+    return run
+
+
+#: The shared options a row can take besides ``--trace``.
+_SHARED = {
+    "workers": _opt(
+        "--workers",
+        1,
+        "fan the experiment out over N processes; the output is "
+        "bit-identical at any worker count",
+        metavar="N",
+    ),
+    # choices= gives the same actionable error shape as
+    # run_sharded_lookups: the bad value, then the valid choices.
+    "backend": _opt(
+        "--backend",
+        "object",
+        "'object' walks the node graph hop-at-a-time, 'columnar' runs "
+        "the vectorized numpy kernel (DESIGN S23); records are identical",
+        choices=BACKENDS,
+    ),
+}
+
+
+#: The §S25 link-model knobs besides its seed, with their defaults.
+_LINK = {
+    "regions": 4,
+    "intra_ms": 5.0,
+    "inter_min_ms": 40.0,
+    "inter_max_ms": 160.0,
+    "jitter_ms": 10.0,
+}
+
+
+def _latency_options(seed: Optional[int]) -> Tuple[Option, ...]:
+    """The link-model options; ``seed=None`` makes the model opt-in."""
+    knobs = [_opt("--" + k.replace("_", "-"), v) for k, v in _LINK.items()]
+    return (
+        _opt(
+            "--latency-seed",
+            seed,
+            "seed of the link delay model; unset, hops take no modeled time",
+            type=int,
         ),
-    )
-    subparser.add_argument("--regions", type=int, default=4, metavar="N")
-    subparser.add_argument(
-        "--intra-ms", type=float, default=5.0, metavar="MS"
-    )
-    subparser.add_argument(
-        "--inter-min-ms", type=float, default=40.0, metavar="MS"
-    )
-    subparser.add_argument(
-        "--inter-max-ms", type=float, default=160.0, metavar="MS"
-    )
-    subparser.add_argument(
-        "--jitter-ms", type=float, default=10.0, metavar="MS"
+        *knobs,
     )
 
 
@@ -157,394 +166,18 @@ def _latency_model(args: argparse.Namespace):
         return None
     from repro.sim.latency import LatencyModel
 
-    return LatencyModel(
-        seed=args.latency_seed,
-        regions=args.regions,
-        intra_ms=args.intra_ms,
-        inter_min_ms=args.inter_min_ms,
-        inter_max_ms=args.inter_max_ms,
-        jitter_ms=args.jitter_ms,
-    )
+    knobs = {key: getattr(args, key) for key in _LINK}
+    return LatencyModel(seed=args.latency_seed, **knobs)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce the Cycloid paper's tables and figures.",
-    )
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a JSONL per-hop trace of every lookup to PATH "
-        "(lookup-driven commands only; forces in-process execution)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fig5 = sub.add_parser("fig5", help="path length vs network size")
-    fig5.add_argument("--lookups", type=int, default=3000)
-    fig5.add_argument(
-        "--dimensions", type=int, nargs="+", default=[3, 4, 5, 6, 7, 8]
-    )
-    fig6 = sub.add_parser("fig6", help="path length vs dimension")
-    fig6.add_argument("--lookups", type=int, default=3000)
-    fig6.add_argument(
-        "--dimensions", type=int, nargs="+", default=[3, 4, 5, 6, 7, 8]
-    )
-
-    fig7 = sub.add_parser("fig7", help="phase breakdown")
-    fig7.add_argument("--lookups", type=int, default=3000)
-    fig7.add_argument(
-        "--dimensions", type=int, nargs="+", default=[4, 6, 8]
-    )
-
-    for name, nodes in (("fig8", 2000), ("fig9", 1000)):
-        p = sub.add_parser(name, help=f"key distribution, {nodes} nodes")
-        p.add_argument("--nodes", type=int, default=nodes)
-        p.add_argument(
-            "--keys", type=int, nargs="+",
-            default=[10_000, 50_000, 100_000],
-        )
-        _add_workers(p)
-
-    fig10 = sub.add_parser("fig10", help="query load balance")
-    fig10.add_argument("--lookups-per-node", type=int, default=8)
-
-    fig11 = sub.add_parser("fig11", help="massive departures + Table 4")
-    fig11.add_argument("--lookups", type=int, default=10_000)
-    fig11.add_argument(
-        "--probabilities", type=float, nargs="+",
-        default=[0.1, 0.2, 0.3, 0.4, 0.5],
-    )
-
-    fig12 = sub.add_parser("fig12", help="churn + Table 5")
-    fig12.add_argument(
-        "--rates", type=float, nargs="+", default=[0.05, 0.2, 0.4]
-    )
-    fig12.add_argument("--duration", type=float, default=1000.0)
-    fig12.add_argument("--population", type=int, default=2048)
-
-    fig13 = sub.add_parser("fig13", help="sparsity sweep")
-    fig13.add_argument("--lookups", type=int, default=5000)
-
-    fig14 = sub.add_parser("fig14", help="Koorde sparsity breakdown")
-    fig14.add_argument("--lookups", type=int, default=5000)
-
-    crash = sub.add_parser(
-        "fig-crash",
-        help="graceful departures vs ungraceful crashes, with retries",
-    )
-    crash.add_argument("--lookups", type=int, default=2000)
-    crash.add_argument(
-        "--crash-prob", type=float, nargs="+", default=[0.1, 0.3, 0.5]
-    )
-    crash.add_argument("--msg-loss", type=float, default=0.05)
-    crash.add_argument("--retry-budget", type=int, default=8)
-    crash.add_argument("--dimension", type=int, default=8)
-
-    fig_latency = sub.add_parser(
-        "fig-latency",
-        help="end-to-end lookup milliseconds under a seeded link model, "
-        "with Cycloid proximity-vs-random leaf selection (DESIGN S25)",
-    )
-    fig_latency.add_argument("--lookups", type=int, default=2000)
-    fig_latency.add_argument(
-        "--dimension",
-        type=int,
-        default=8,
-        help="Cycloid dimension of the complete overlays (default: 8, "
-        "i.e. n = 2048)",
-    )
-    _add_latency_model(fig_latency, default_seed=7)
-    fig_latency.add_argument(
-        "--output",
-        metavar="PATH",
-        default="BENCH_latency.json",
-        help="where to write the JSON latency report "
-        "(default: BENCH_latency.json)",
-    )
-
-    fig_adversary = sub.add_parser(
-        "fig-adversary",
-        help="seeded sybil/eclipse attacks: keyspace capture, lookup "
-        "interception and degradation vs attacker fraction, plus Zipf "
-        "hotspot caching (DESIGN S27)",
-    )
-    fig_adversary.add_argument(
-        "--population",
-        type=int,
-        default=2048,
-        help="honest node count per overlay; the id space holds about "
-        "twice as many so crafted attacker ids have free slots "
-        "(default: 2048)",
-    )
-    fig_adversary.add_argument("--lookups", type=int, default=1000)
-    fig_adversary.add_argument(
-        "--fractions",
-        type=float,
-        nargs="+",
-        default=list(DEFAULT_FRACTIONS),
-        help="attacker fractions to sweep; 0.0 is the honest baseline "
-        "(default: 0.0 0.02 0.05 0.1)",
-    )
-    fig_adversary.add_argument(
-        "--protocols",
-        nargs="+",
-        default=list(ADVERSARY_PROTOCOLS),
-        choices=list(ADVERSARY_PROTOCOLS),
-    )
-    fig_adversary.add_argument("--seed", type=int, default=23)
-    fig_adversary.add_argument(
-        "--target-key",
-        default="adversary-target",
-        help="application key the sybil cluster surrounds",
-    )
-    fig_adversary.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=32,
-        help="per-node path-cache bound of the cached hotspot cells "
-        "(default: 32)",
-    )
-    fig_adversary.add_argument(
-        "--output",
-        metavar="PATH",
-        default="BENCH_adversary.json",
-        help="where to write the JSON adversary report "
-        "(default: BENCH_adversary.json)",
-    )
-
-    fig_scale = sub.add_parser(
-        "fig-scale",
-        help="bulk-build 10^4..10^6-node overlays direct-to-columns, "
-        "run kernel lookup batches, pin object-build parity (DESIGN S26)",
-    )
-    fig_scale.add_argument(
-        "--counts",
-        type=int,
-        nargs="+",
-        default=list(SCALE_COUNTS),
-        help="populations to build (default: 10000 100000 1000000)",
-    )
-    fig_scale.add_argument(
-        "--protocols",
-        nargs="+",
-        default=list(SCALE_PROTOCOLS),
-        choices=list(SCALE_PROTOCOLS),
-    )
-    fig_scale.add_argument("--lookups", type=int, default=2048)
-    fig_scale.add_argument("--seed", type=int, default=11)
-    fig_scale.add_argument(
-        "--sampler",
-        choices=list(SAMPLERS),
-        default="fast",
-        help="id sampler for the sweep cells; parity always replays "
-        "the object builder's 'exact' stream (default: fast)",
-    )
-    fig_scale.add_argument(
-        "--parity-count",
-        type=int,
-        default=4096,
-        help="population of the bulk-vs-object digest pin (default: 4096)",
-    )
-    fig_scale.add_argument(
-        "--ladder",
-        type=int,
-        nargs="+",
-        default=[4096, 16384, 65536],
-        help="object-build timing ladder the speedup extrapolates from",
-    )
-    fig_scale.add_argument(
-        "--output",
-        metavar="PATH",
-        default="BENCH_scale.json",
-        help="where to write the JSON scale report "
-        "(default: BENCH_scale.json)",
-    )
-
-    maint = sub.add_parser(
-        "maint", help="maintenance fan-out + post-departure lookup probe"
-    )
-    maint.add_argument("--population", type=int, default=1024)
-    maint.add_argument("--events", type=int, default=200)
-    maint.add_argument("--lookups", type=int, default=1000)
-
-    for figure in (
-        fig5, fig6, fig7, fig10, fig11, fig12, fig13, fig14, crash,
-        fig_latency, fig_adversary, maint,
-    ):
-        _add_workers(figure)
-    # The pure-lookup cells additionally choose an execution backend.
-    for figure in (fig5, fig6, fig7, fig14, crash, fig_latency, fig_adversary):
-        _add_backend(figure)
-
-    def _add_build(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "--protocol", choices=ALL_PROTOCOLS, default="cycloid"
-        )
-        subparser.add_argument(
-            "--dimension",
-            type=int,
-            default=4,
-            help="Cycloid dimension of the overlay (complete build "
-            "unless --nodes is given)",
-        )
-        subparser.add_argument(
-            "--nodes",
-            type=int,
-            default=None,
-            metavar="N",
-            help="build N randomly-placed nodes instead of a complete "
-            "overlay",
-        )
-        subparser.add_argument(
-            "--servers",
-            type=int,
-            default=4,
-            metavar="N",
-            help="how many asyncio node servers share the overlay "
-            "(default: 4)",
-        )
-
-    serve = sub.add_parser(
-        "serve",
-        help="run a built overlay as a live cluster of node servers",
-    )
-    _add_build(serve)
-    _add_latency_model(serve, default_seed=None)
-    serve.add_argument(
-        "--cluster-file",
-        metavar="PATH",
-        default=None,
-        help="write the attachable cluster spec (directory + build "
-        "recipe) to PATH",
-    )
-    serve.add_argument(
-        "--lifetime",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="shut down after SECONDS (default: serve until interrupted)",
-    )
-
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="drive a live cluster closed-loop and write BENCH_net.json",
-    )
-    _add_build(loadgen)
-    _add_latency_model(loadgen, default_seed=None)
-    loadgen.add_argument(
-        "--cluster-file",
-        metavar="PATH",
-        default=None,
-        help="attach to the running cluster this spec describes "
-        "instead of booting a private one",
-    )
-    loadgen.add_argument("--clients", type=int, default=64, metavar="N")
-    loadgen.add_argument("--lookups", type=int, default=256, metavar="N")
-    loadgen.add_argument(
-        "--puts",
-        type=int,
-        default=32,
-        metavar="N",
-        help="PUT/GET pairs to run after the lookups (default: 32)",
-    )
-    loadgen.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="per-RPC reply timeout (default: 5.0)",
-    )
-    loadgen.add_argument(
-        "--retry-budget",
-        type=int,
-        default=8,
-        metavar="N",
-        help="attempts after the first, per operation — the engine's "
-        "retry_budget semantics (default: 8)",
-    )
-    loadgen.add_argument(
-        "--output",
-        metavar="PATH",
-        default="BENCH_net.json",
-        help="where to write the net bench report "
-        "(default: BENCH_net.json)",
-    )
-
-    churnstorm = sub.add_parser(
-        "churnstorm",
-        help="open-loop churn harness: kill/rejoin nodes mid-load and "
-        "verify zero acknowledged-write loss",
-    )
-    _add_build(churnstorm)
-    churnstorm.add_argument(
-        "--replicas",
-        type=int,
-        default=2,
-        metavar="R",
-        help="leaf-set replication factor of the data plane "
-        "(default: 2; zero-loss bar needs >= 2)",
-    )
-    churnstorm.add_argument(
-        "--rate",
-        type=float,
-        default=200.0,
-        metavar="OPS_PER_S",
-        help="open-loop Poisson arrival rate (default: 200)",
-    )
-    churnstorm.add_argument(
-        "--ops",
-        type=int,
-        default=400,
-        metavar="N",
-        help="operations in the open-loop storm (default: 400)",
-    )
-    churnstorm.add_argument(
-        "--clients",
-        type=int,
-        default=8,
-        metavar="N",
-        help="client connections the dispatcher round-robins over "
-        "(default: 8)",
-    )
-    churnstorm.add_argument(
-        "--kills",
-        type=int,
-        default=3,
-        metavar="N",
-        help="virtual nodes to crash mid-run (default: 3)",
-    )
-    churnstorm.add_argument(
-        "--no-rejoin",
-        action="store_true",
-        help="crash only — do not rejoin the victims afterwards",
-    )
-    churnstorm.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="per-RPC reply timeout (default: 5.0)",
-    )
-    churnstorm.add_argument(
-        "--retry-budget",
-        type=int,
-        default=8,
-        metavar="N",
-        help="attempts after the first, per operation (default: 8)",
-    )
-    churnstorm.add_argument(
-        "--output",
-        metavar="PATH",
-        default="BENCH_net.json",
-        help="where to write the churn bench report "
-        "(default: BENCH_net.json)",
-    )
-
-    sub.add_parser("table1", help="architecture comparison")
-    return parser
+_BUILD_OPTIONS = (
+    _opt("--protocol", "cycloid", choices=ALL_PROTOCOLS),
+    _opt("--dimension", 4, "Cycloid dimension; complete unless --nodes"),
+    _opt("--nodes", None, "build N randomly-placed nodes", type=int),
+    _opt("--servers", 4, "asyncio node servers sharing the overlay"),
+)
+_TIMEOUT = _opt("--timeout", 5.0, "per-RPC reply timeout in seconds")
+_RETRY_BUDGET = _opt("--retry-budget", 8, "attempts after the first, per op")
 
 
 def _print(text: str) -> None:
@@ -552,63 +185,39 @@ def _print(text: str) -> None:
     print()
 
 
-#: Commands whose lookups can stream to ``--trace`` (everything that
-#: runs through the routing engine; fig8/9 and table1 do not issue
-#: lookups at all).
-TRACEABLE_COMMANDS = (
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig-crash",
-    "fig-latency",
-    "fig-adversary",
-    "maint",
-)
+def _table(columns: Tuple[Column, ...], items, title: str) -> str:
+    return format_table(
+        [header for header, _ in columns],
+        [[cell(item) for _, cell in columns] for item in items],
+        title,
+    )
 
 
-def _run_fig5_or_6(
-    args: argparse.Namespace,
-    by_dimension: bool,
-    observer: Optional[TraceObserver] = None,
-) -> None:
-    points = run_path_length_experiment(
-        dimensions=tuple(args.dimensions),
-        lookups=args.lookups,
-        seed=args.seed,
-        observer=observer,
-        workers=args.workers,
-        backend=args.backend,
-    )
-    x_header = "d" if by_dimension else "n"
-    rows = [
-        [
-            p.dimension if by_dimension else p.size,
-            p.protocol,
-            f"{p.mean_path_length:.2f}",
-        ]
-        for p in sorted(points, key=lambda p: (p.size, p.protocol))
-    ]
-    title = (
-        "Fig. 6 — path length vs dimension"
-        if by_dimension
-        else "Fig. 5 — path length vs network size"
-    )
-    _print(format_table([x_header, "protocol", "mean path"], rows, title))
+def _write_report(args: argparse.Namespace, report: dict) -> None:
+    """Validate ``report``, then write it to ``--output`` as JSON."""
+    spec = COMMANDS[args.command].report
+    spec.validate(report)
+    with open(args.output, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
+    print(f"{spec.noun} -> {args.output}", file=sys.stderr)
+
+
+def _note_partial(report: dict) -> None:
+    if not report.get("complete", True):
+        print(
+            "note: run was interrupted — the report is partial "
+            '("complete": false)',
+            file=sys.stderr,
+        )
 
 
 def _build_recipe(args: argparse.Namespace) -> dict:
-    """The deterministic overlay recipe the serve/loadgen args name."""
+    """The deterministic overlay recipe the live-command args name."""
     recipe: dict = {"protocol": args.protocol, "seed": args.seed}
     if args.nodes is not None:
         recipe["nodes"] = args.nodes
-        recipe["dimension"] = args.dimension
-    else:
-        recipe["dimension"] = args.dimension
+    recipe["dimension"] = args.dimension
     return recipe
 
 
@@ -619,7 +228,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.net.loadgen import build_from_recipe
 
     build = _build_recipe(args)
-
     latency = _latency_model(args)
 
     async def _serve() -> None:
@@ -653,10 +261,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_loadgen(args: argparse.Namespace) -> int:
-    import json
-
     from repro.net.cluster import load_spec
-    from repro.net.loadgen import run_loadgen, validate_net_report
+    from repro.net.loadgen import run_loadgen
     from repro.sim.faults import RetryPolicy
 
     spec = None
@@ -683,11 +289,7 @@ def _run_loadgen(args: argparse.Namespace) -> int:
         trace_path=args.trace,
         latency=_latency_model(args),
     )
-    validate_net_report(report)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-
+    _write_report(args, report)
     ops = report["ops"]
     latency = report["latency_ms"]
     digest = report["digest"]
@@ -707,20 +309,9 @@ def _run_loadgen(args: argparse.Namespace) -> int:
         rows.append(
             ["model parity (max |diff| ms)", f"{model['max_abs_diff_ms']:.6f}"]
         )
-    _print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            f"loadgen — {build['protocol']}, {args.clients} clients",
-        )
-    )
-    print(f"net bench report -> {args.output}", file=sys.stderr)
-    if not report.get("complete", True):
-        print(
-            "note: run was interrupted — the report is partial "
-            '("complete": false)',
-            file=sys.stderr,
-        )
+    title = f"loadgen — {build['protocol']}, {args.clients} clients"
+    _print(format_table(["metric", "value"], rows, title))
+    _note_partial(report)
     if args.trace is not None:
         print(
             f"trace: {report['trace']['lines']} hop events -> {args.trace}",
@@ -737,9 +328,7 @@ def _run_loadgen(args: argparse.Namespace) -> int:
 
 
 def _run_churnstorm(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.net.loadgen import run_churnstorm, validate_net_report
+    from repro.net.loadgen import run_churnstorm
     from repro.sim.faults import ChurnPlan, RetryPolicy
 
     build = _build_recipe(args)
@@ -757,14 +346,11 @@ def _run_churnstorm(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         clients=args.clients,
     )
-    validate_net_report(report)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-
+    _write_report(args, report)
     ops = report["ops"]
     churn = report["churn"]
     open_loop = report["open_loop"]["latency_ms"]["all"]
+    under_replication = churn["under_replication_ms"]["max"]
     rows = [
         ["ops", ops["total"]],
         ["failures", ops["failures"]],
@@ -773,29 +359,17 @@ def _run_churnstorm(args: argparse.Namespace) -> int:
         ["acked writes", churn["acked_writes"]],
         ["lost acked keys", churn["lost_acked_keys"]],
         ["survival rate", f"{churn['survival_rate']:.4f}"],
-        [
-            "under-replication (ms, max)",
-            f"{churn['under_replication_ms']['max']:.1f}",
-        ],
+        ["under-replication (ms, max)", f"{under_replication:.1f}"],
         ["open-loop p50 (ms)", f"{open_loop['p50']:.2f}"],
         ["open-loop p95 (ms)", f"{open_loop['p95']:.2f}"],
         ["open-loop p99 (ms)", f"{open_loop['p99']:.2f}"],
     ]
-    _print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            f"churnstorm — {build['protocol']}, replicas={args.replicas}, "
-            f"{args.kills} kills",
-        )
+    title = (
+        f"churnstorm — {build['protocol']}, replicas={args.replicas}, "
+        f"{args.kills} kills"
     )
-    print(f"churn bench report -> {args.output}", file=sys.stderr)
-    if not report.get("complete", True):
-        print(
-            "note: run was interrupted — the report is partial "
-            '("complete": false)',
-            file=sys.stderr,
-        )
+    _print(format_table(["metric", "value"], rows, title))
+    _note_partial(report)
     if churn["lost_acked_keys"]:
         print(
             f"error: {churn['lost_acked_keys']} acknowledged key(s) were "
@@ -806,547 +380,586 @@ def _run_churnstorm(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _path_length(name: str, title: str, header: str, x: str) -> Command:
+    """fig5 / fig6: mean path length by network size or dimension."""
+    experiment = _calls(ex.run_path_length_experiment, "dimensions", "lookups")
+    return Command(
+        name,
+        (_opt("--lookups", 3000), _opt("--dimensions", [3, 4, 5, 6, 7, 8])),
+        lambda args, **common: sorted(
+            experiment(args, **common), key=lambda p: (p.size, p.protocol)
+        ),
+        title,
+        (
+            (header, lambda p: getattr(p, x)),
+            ("protocol", lambda p: p.protocol),
+            ("mean path", lambda p: f"{p.mean_path_length:.2f}"),
+        ),
+        takes=ENGINE,
+    )
+
+
+def _key_distribution(name: str, nodes: int) -> Command:
+    return Command(
+        name,
+        (_opt("--nodes", nodes), _opt("--keys", [10_000, 50_000, 100_000])),
+        _calls(
+            ex.run_key_distribution_experiment,
+            node_count="nodes",
+            key_counts="keys",
+        ),
+        "{args.command} — key distribution ({args.nodes} nodes)",
+        (
+            ("protocol", lambda p: p.protocol),
+            ("keys", lambda p: p.keys),
+            ("mean/node", lambda p: f"{p.summary.mean:.1f}"),
+            ("p1", lambda p: f"{p.summary.p1:.0f}"),
+            ("p99", lambda p: f"{p.summary.p99:.0f}"),
+        ),
+        help=f"key distribution, {nodes} nodes",
+        takes=("workers",),
+    )
+
+
+def _phase_shares(args, **common):
+    """fig7's table items: one (point, phase) pair per printed line."""
+    points = ex.run_phase_breakdown_experiment(
+        dimensions=tuple(args.dimensions), lookups=args.lookups, **common
+    )
+    return [
+        (point, phase)
+        for point in points
+        for phase in sorted(point.fraction_by_phase)
+    ]
+
+
+def _latency(args, **common):
+    model = _latency_model(args)
+    points = ex.run_latency_experiment(
+        dimension=args.dimension, lookups=args.lookups, model=model, **common
+    )
+    return ex.latency_report(
+        points,
+        dimension=args.dimension,
+        lookups=args.lookups,
+        seed=args.seed,
+        model=model,
+        workers=args.workers,
+    )
+
+
+def _proximity_verdict(report: dict) -> Optional[str]:
+    proximity = report.get("proximity")
+    if proximity is None:
+        return None
+    verdict = "wins" if proximity["proximity_wins"] else "DOES NOT WIN"
+    return (
+        f"proximity selection {verdict}: "
+        f"{proximity['proximity_mean_ms']:.2f} ms vs "
+        f"{proximity['random_mean_ms']:.2f} ms random "
+        f"({proximity['improvement_ms']:+.2f} ms)"
+    )
+
+
+def _adversary(args, **common):
+    results = ex.run_adversary_experiment(
+        population=args.population,
+        protocols=tuple(args.protocols),
+        fractions=tuple(args.fractions),
+        lookups=args.lookups,
+        target_key=args.target_key,
+        cache_capacity=args.cache_capacity,
+        **common,
+    )
+    return ex.adversary_report(
+        results,
+        population=args.population,
+        lookups=args.lookups,
+        seed=args.seed,
+        target_key=args.target_key,
+        workers=args.workers,
+        cache_capacity=args.cache_capacity,
+    )
+
+
+def _hotspot_table(report: dict) -> str:
+    hotspot = report["hotspot"]
+    columns = (
+        ("overlay/cache", lambda c: c["label"]),
+        ("mean hops", lambda c: f"{c['mean_hops']:.2f}"),
+        ("hit rate", lambda c: f"{c['hit_rate']:.3f}"),
+        ("success", lambda c: f"{c['success_rate']:.3f}"),
+        ("digest", lambda c: c["digest"][:12]),
+    )
+    title = f"fig-adversary — Zipf hotspot, s = {hotspot['zipf_s']}"
+    return _table(columns, hotspot["cells"], title)
+
+
+def _scale(args, **common):
+    points = ex.run_scale_experiment(
+        counts=tuple(args.counts),
+        protocols=tuple(args.protocols),
+        lookups=args.lookups,
+        sampler=args.sampler,
+        **common,
+    )
+    parity = ex.scale_parity(
+        points,
+        parity_count=args.parity_count,
+        seed=args.seed,
+        ladder_counts=tuple(args.ladder),
+    )
+    return ex.scale_report(
+        points,
+        parity,
+        lookups=args.lookups,
+        seed=args.seed,
+        sampler=args.sampler,
+    )
+
+
+def _parity_verdict(report: dict) -> str:
+    parity = report["parity"]
+    digest = "match" if parity["digest_match"] else "MISMATCH"
+    speedup = "ok" if parity["speedup_ok"] else "BELOW BAR"
+    return (
+        f"parity digest at n={parity['parity_count']}: {digest}; "
+        f"bulk {parity['bulk_build_seconds']:.3f}s vs extrapolated "
+        f"object {parity['extrapolated_object_seconds']:.1f}s "
+        f"(fit n^{parity['fit_exponent']:.2f}) = "
+        f"{parity['speedup']:.0f}x ({speedup})"
+    )
+
+
+_TABLE = (
+    _path_length(
+        "fig5", "Fig. 5 — path length vs network size", "n", "size"
+    ),
+    _path_length(
+        "fig6", "Fig. 6 — path length vs dimension", "d", "dimension"
+    ),
+    Command(
+        "fig7",
+        (_opt("--lookups", 3000), _opt("--dimensions", [4, 6, 8])),
+        _phase_shares,
+        "Fig. 7 — phase breakdown",
+        (
+            ("protocol", lambda pp: pp[0].protocol),
+            ("n", lambda pp: pp[0].size),
+            ("phase", lambda pp: pp[1]),
+            ("mean hops", lambda pp: f"{pp[0].mean_hops_by_phase[pp[1]]:.2f}"),
+            ("share", lambda pp: f"{pp[0].fraction_by_phase[pp[1]]:.0%}"),
+        ),
+        takes=ENGINE,
+    ),
+    _key_distribution("fig8", 2000),
+    _key_distribution("fig9", 1000),
+    Command(
+        "fig10",
+        (_opt("--lookups-per-node", 8),),
+        _calls(ex.run_query_load_experiment, "lookups_per_node"),
+        "Fig. 10 — query load",
+        (
+            ("protocol", lambda p: p.protocol),
+            ("n", lambda p: p.size),
+            ("mean load", lambda p: f"{p.summary.mean:.1f}"),
+            ("p1", lambda p: f"{p.summary.p1:.0f}"),
+            ("p99", lambda p: f"{p.summary.p99:.0f}"),
+        ),
+        takes=ROUTED,
+    ),
+    Command(
+        "fig11",
+        (
+            _opt("--lookups", 10_000),
+            _opt("--probabilities", [0.1, 0.2, 0.3, 0.4, 0.5]),
+        ),
+        _calls(ex.run_mass_departure_experiment, "probabilities", "lookups"),
+        "Fig. 11 + Table 4 — massive departures",
+        (
+            ("protocol", lambda p: p.protocol),
+            ("p", lambda p: f"{p.probability:.1f}"),
+            ("mean path", lambda p: f"{p.mean_path_length:.2f}"),
+            ("timeouts", lambda p: p.timeout_row()),
+            ("failures", lambda p: p.lookup_failures),
+        ),
+        takes=ROUTED,
+    ),
+    Command(
+        "fig12",
+        (
+            _opt("--rates", [0.05, 0.2, 0.4]),
+            _opt("--duration", 1000.0),
+            _opt("--population", 2048),
+        ),
+        _calls(ex.run_churn_experiment, "rates", "population", "duration"),
+        "Fig. 12 + Table 5 — churn",
+        (
+            ("protocol", lambda p: p.protocol),
+            ("R", lambda p: f"{p.rate:.2f}"),
+            ("mean path", lambda p: f"{p.mean_path_length:.2f}"),
+            ("timeouts", lambda p: p.timeout_row()),
+            ("failures", lambda p: p.lookup_failures),
+        ),
+        takes=ROUTED,
+    ),
+    Command(
+        "fig13",
+        (_opt("--lookups", 5000),),
+        _calls(ex.run_sparsity_experiment, "lookups"),
+        "Fig. 13 — sparsity",
+        (
+            ("protocol", lambda p: p.protocol),
+            ("sparsity", lambda p: f"{p.sparsity:.1f}"),
+            ("nodes", lambda p: p.population),
+            ("mean path", lambda p: f"{p.mean_path_length:.2f}"),
+        ),
+        takes=ROUTED,
+    ),
+    Command(
+        "fig14",
+        (_opt("--lookups", 5000),),
+        _calls(ex.run_koorde_sparsity_breakdown, "lookups"),
+        "Fig. 14 — Koorde breakdown vs sparsity",
+        (
+            ("sparsity", lambda p: f"{1 - p.size / 2048:.1f}"),
+            ("nodes", lambda p: p.size),
+            (
+                "successor share",
+                lambda p: f"{p.fraction_by_phase['successor']:.0%}",
+            ),
+        ),
+        takes=ENGINE,
+    ),
+    Command(
+        "fig-crash",
+        (
+            _opt("--lookups", 2000),
+            _opt("--crash-prob", [0.1, 0.3, 0.5]),
+            _opt("--msg-loss", 0.05),
+            _opt("--retry-budget", 8),
+            _opt("--dimension", 8),
+        ),
+        _calls(
+            ex.run_crash_experiment,
+            "lookups",
+            "retry_budget",
+            "dimension",
+            probabilities="crash_prob",
+            message_loss="msg_loss",
+        ),
+        "Crash resilience — graceful vs ungraceful failures",
+        (
+            ("protocol", lambda p: p.protocol),
+            ("p", lambda p: f"{p.probability:.1f}"),
+            ("mode", lambda p: p.mode),
+            ("success", lambda p: f"{p.success_rate:.1%}"),
+            ("mean path", lambda p: f"{p.mean_path_length:.2f}"),
+            ("timeouts", lambda p: p.timeout_row()),
+            ("retries", lambda p: f"{p.mean_retries:.2f}"),
+            ("repairs", lambda p: p.route_repairs),
+        ),
+        takes=ENGINE,
+    ),
+    Command(
+        "fig-latency",
+        (
+            _opt("--lookups", 2000),
+            _opt("--dimension", 8, "Cycloid dimension (8 is n = 2048)"),
+            *_latency_options(seed=7),
+        ),
+        _latency,
+        "fig-latency — modeled milliseconds, n = {result[cells][0][size]}",
+        (
+            ("overlay", lambda c: c["label"]),
+            ("mean ms", lambda c: f"{c['mean_ms']:.2f}"),
+            ("p50", lambda c: f"{c['p50_ms']:.2f}"),
+            ("p95", lambda c: f"{c['p95_ms']:.2f}"),
+            ("p99", lambda c: f"{c['p99_ms']:.2f}"),
+            ("mean hops", lambda c: f"{c['mean_path_length']:.2f}"),
+            ("digest", lambda c: c["digest"][:12]),
+        ),
+        help="end-to-end lookup milliseconds under a seeded link model, "
+        "with Cycloid proximity-vs-random leaf selection (DESIGN S25)",
+        footer=_proximity_verdict,
+        takes=ENGINE,
+        report=Report(
+            "BENCH_latency.json", "latency report", ex.validate_latency_report
+        ),
+    ),
+    Command(
+        "fig-adversary",
+        (
+            _opt("--population", 2048, "honest node count per overlay"),
+            _opt("--lookups", 1000),
+            _opt("--fractions", list(DEFAULT_FRACTIONS), "attacker fractions"),
+            _opt(
+                "--protocols",
+                list(ADVERSARY_PROTOCOLS),
+                choices=list(ADVERSARY_PROTOCOLS),
+            ),
+            _opt("--target-key", "adversary-target", "key sybils surround"),
+            _opt("--cache-capacity", 32, "per-node path-cache bound"),
+        ),
+        _adversary,
+        "fig-adversary — sybil+eclipse, n = {args.population}",
+        (
+            ("overlay/fraction", lambda c: c["label"]),
+            ("sybils", lambda c: c["sybils"]),
+            ("capture", lambda c: f"{c['capture_fraction']:.4f}"),
+            ("target", lambda c: "yes" if c["target_captured"] else "no"),
+            ("intercept", lambda c: f"{c['interception_rate']:.3f}"),
+            ("success", lambda c: f"{c['success_rate']:.3f}"),
+            ("mean hops", lambda c: f"{c['mean_hops']:.2f}"),
+            ("digest", lambda c: c["digest"][:12]),
+        ),
+        help="seeded sybil/eclipse attacks: keyspace capture, lookup "
+        "interception and degradation vs attacker fraction, plus Zipf "
+        "hotspot caching (DESIGN S27)",
+        footer=_hotspot_table,
+        takes=ENGINE,
+        report=Report(
+            "BENCH_adversary.json",
+            "adversary report",
+            ex.validate_adversary_report,
+        ),
+        seed=23,
+    ),
+    Command(
+        "fig-scale",
+        (
+            _opt("--counts", list(SCALE_COUNTS), "populations to build"),
+            _opt(
+                "--protocols",
+                list(SCALE_PROTOCOLS),
+                choices=list(SCALE_PROTOCOLS),
+            ),
+            _opt("--lookups", 2048),
+            _opt("--sampler", "fast", "sweep id sampler", choices=SAMPLERS),
+            _opt("--parity-count", 4096, "bulk-vs-object digest population"),
+            _opt("--ladder", [4096, 16384, 65536], "object-build timings"),
+        ),
+        _scale,
+        "fig-scale — bulk-built overlays under the columnar kernel",
+        (
+            ("protocol", lambda c: c["protocol"]),
+            ("n", lambda c: f"{c['count']:,}"),
+            ("d/bits", lambda c: c["sizing"]),
+            ("build s", lambda c: f"{c['build_seconds']:.3f}"),
+            ("nodes/s", lambda c: f"{c['build_nodes_per_sec']:,.0f}"),
+            ("col MB", lambda c: f"{c['column_bytes'] / 1e6:.0f}"),
+            ("lookups/s", lambda c: f"{c['lookups_per_sec']:,.0f}"),
+            ("mean hops", lambda c: f"{c['mean_hops']:.2f}"),
+            ("success", lambda c: f"{c['success_rate']:.3f}"),
+            ("digest", lambda c: c["digest"][:12]),
+        ),
+        help="bulk-build 10^4..10^6-node overlays direct-to-columns, run "
+        "kernel lookup batches, pin object-build parity (DESIGN S26)",
+        footer=_parity_verdict,
+        report=Report(
+            "BENCH_scale.json", "scale report", ex.validate_scale_report
+        ),
+        seed=11,
+    ),
+    Command(
+        "maint",
+        (
+            _opt("--population", 1024),
+            _opt("--events", 200),
+            _opt("--lookups", 1000),
+        ),
+        _calls(
+            ex.run_maintenance_experiment, "population", "events", "lookups"
+        ),
+        "Maintenance fan-out + post-departure probe",
+        (
+            ("protocol", lambda p: p.protocol),
+            ("per join", lambda p: f"{p.updates_per_join:.1f}"),
+            ("per leave", lambda p: f"{p.updates_per_leave:.1f}"),
+            ("per departure", lambda p: f"{p.updates_per_departure:.1f}"),
+            ("probe path", lambda p: f"{p.probe_mean_path:.2f}"),
+            ("probe failures", lambda p: p.probe_failures),
+        ),
+        takes=ROUTED,
+    ),
+    Command(
+        "serve",
+        (
+            *_BUILD_OPTIONS,
+            *_latency_options(seed=None),
+            _opt("--cluster-file", None, "write the attachable spec here"),
+            _opt(
+                "--lifetime",
+                None,
+                "seconds to serve; unset, serve until interrupted",
+                type=float,
+            ),
+        ),
+        _run_serve,
+        help="run a built overlay as a live cluster of node servers",
+    ),
+    Command(
+        "loadgen",
+        (
+            *_BUILD_OPTIONS,
+            *_latency_options(seed=None),
+            _opt("--cluster-file", None, "attach to this cluster spec"),
+            _opt("--clients", 64),
+            _opt("--lookups", 256),
+            _opt("--puts", 32, "PUT/GET pairs after the lookups"),
+            _TIMEOUT,
+            _RETRY_BUDGET,
+        ),
+        _run_loadgen,
+        help="drive a live cluster closed-loop and write BENCH_net.json",
+        takes=("live-trace",),
+        report=Report(
+            "BENCH_net.json", "net bench report", validate_net_report
+        ),
+    ),
+    Command(
+        "churnstorm",
+        (
+            *_BUILD_OPTIONS,
+            _opt("--replicas", 2, "replication factor; zero loss needs 2+"),
+            _opt("--rate", 200.0, "open-loop Poisson arrivals per second"),
+            _opt("--ops", 400, "operations in the open-loop storm"),
+            _opt("--clients", 8, "client connections to round-robin over"),
+            _opt("--kills", 3, "virtual nodes to crash mid-run"),
+            _opt("--no-rejoin", False, "do not rejoin the crashed victims"),
+            _TIMEOUT,
+            _RETRY_BUDGET,
+        ),
+        _run_churnstorm,
+        help="open-loop churn harness: kill/rejoin nodes mid-load and "
+        "verify zero acknowledged-write loss",
+        report=Report(
+            "BENCH_net.json", "churn bench report", validate_net_report
+        ),
+    ),
+    Command(
+        "table1",
+        (),
+        lambda args, **common: ex.architecture_table(**common),
+        "Table 1 — architecture",
+        (
+            ("system", lambda r: r.label),
+            ("base", lambda r: r.base_network),
+            ("lookup", lambda r: r.lookup_complexity),
+            ("state", lambda r: r.routing_state),
+            ("measured max", lambda r: r.max_observed_state),
+        ),
+    ),
+)
+
+#: Every command, in ``repro --help`` order.
+COMMANDS: Dict[str, Command] = {command.name: command for command in _TABLE}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce the Cycloid paper's tables and figures.",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help=f"run seed (default: {DEFAULT_SEED}, or the command's own)",
+    )
+    parser.add_argument(
+        "--trace",
+        metavar="PATH",
+        default=None,
+        help="write a JSONL per-hop trace of every lookup to PATH "
+        "(lookup-driven commands only; forces in-process execution)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS.values():
+        subparser = sub.add_parser(
+            command.name, help=command.help or command.title
+        )
+        options = list(command.options)
+        if command.report is not None:
+            path, noun = command.report.path, command.report.noun
+            text = f"where to write the {noun}"
+            options.append(_opt("--output", path, text, metavar="PATH"))
+        options += [_SHARED[name] for name in command.takes if name in _SHARED]
+        for flag, kwargs in options:
+            subparser.add_argument(flag, **kwargs)
+        if command.seed is not None:
+            # SUPPRESS keeps a global --seed when this one is absent.
+            subparser.add_argument(
+                "--seed",
+                type=int,
+                default=argparse.SUPPRESS,
+                help=f"run seed (default: {command.seed})",
+            )
+    return parser
+
+
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """Parse ``argv``; without an explicit ``--seed`` (before or after
+    the command name) the seed is the command's own, else the default."""
     args = build_parser().parse_args(argv)
+    if args.seed is None:
+        own = COMMANDS[args.command].seed
+        args.seed = DEFAULT_SEED if own is None else own
+    return args
 
-    sink: Optional[JsonlTraceSink] = None
-    trace_file = None
-    # loadgen traces the *live* hop stream itself — the path is passed
-    # through instead of opening an engine trace sink here.
-    if args.trace is not None and args.command != "loadgen":
-        if args.command not in TRACEABLE_COMMANDS:
-            print(
-                f"error: --trace is not supported for {args.command} "
-                f"(traceable: {', '.join(TRACEABLE_COMMANDS)})",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            trace_file = open(args.trace, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot open trace file: {exc}", file=sys.stderr)
-            return 2
-        sink = JsonlTraceSink(trace_file)
 
+def main(argv: Optional[List[str]] = None) -> int:
+    args = parse_args(argv)
+    command = COMMANDS[args.command]
+    if args.trace is None or "live-trace" in command.takes:
+        return _dispatch(command, args, None)
+    if "trace" not in command.takes:
+        traceable = [c.name for c in _TABLE if "trace" in c.takes]
+        print(
+            f"error: --trace is not supported for {args.command} "
+            f"(traceable: {', '.join(traceable)})",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        return _dispatch(args, sink)
+        trace_file = open(args.trace, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot open trace file: {exc}", file=sys.stderr)
+        return 2
+    sink = JsonlTraceSink(trace_file)
+    try:
+        return _dispatch(command, args, sink)
     finally:
-        if trace_file is not None:
-            trace_file.close()
-            print(
-                f"trace: {sink.events_written} hop events -> {args.trace}",
-                file=sys.stderr,
-            )
+        trace_file.close()
+        print(
+            f"trace: {sink.events_written} hop events -> {args.trace}",
+            file=sys.stderr,
+        )
 
 
 def _dispatch(
-    args: argparse.Namespace, sink: Optional[JsonlTraceSink]
+    command: Command,
+    args: argparse.Namespace,
+    sink: Optional[JsonlTraceSink],
 ) -> int:
-    if args.command == "fig5":
-        _run_fig5_or_6(args, by_dimension=False, observer=sink)
-    elif args.command == "fig6":
-        _run_fig5_or_6(args, by_dimension=True, observer=sink)
-    elif args.command == "fig7":
-        points = run_phase_breakdown_experiment(
-            dimensions=tuple(args.dimensions),
-            lookups=args.lookups,
-            seed=args.seed,
-            observer=sink,
-            workers=args.workers,
-            backend=args.backend,
-        )
-        rows = [
-            [
-                p.protocol,
-                p.size,
-                phase,
-                f"{p.mean_hops_by_phase[phase]:.2f}",
-                f"{p.fraction_by_phase[phase] * 100:.0f}%",
-            ]
-            for p in points
-            for phase in sorted(p.fraction_by_phase)
-        ]
-        _print(
-            format_table(
-                ["protocol", "n", "phase", "mean hops", "share"],
-                rows,
-                "Fig. 7 — phase breakdown",
-            )
-        )
-    elif args.command in ("fig8", "fig9"):
-        points = run_key_distribution_experiment(
-            node_count=args.nodes,
-            key_counts=tuple(args.keys),
-            seed=args.seed,
-            workers=args.workers,
-        )
-        rows = [
-            [
-                p.protocol,
-                p.keys,
-                f"{p.summary.mean:.1f}",
-                f"{p.summary.p1:.0f}",
-                f"{p.summary.p99:.0f}",
-            ]
-            for p in points
-        ]
-        _print(
-            format_table(
-                ["protocol", "keys", "mean/node", "p1", "p99"],
-                rows,
-                f"{args.command} — key distribution ({args.nodes} nodes)",
-            )
-        )
-    elif args.command == "fig10":
-        points = run_query_load_experiment(
-            lookups_per_node=args.lookups_per_node,
-            seed=args.seed,
-            observer=sink,
-            workers=args.workers,
-        )
-        rows = [
-            [
-                p.protocol,
-                p.size,
-                f"{p.summary.mean:.1f}",
-                f"{p.summary.p1:.0f}",
-                f"{p.summary.p99:.0f}",
-            ]
-            for p in points
-        ]
-        _print(
-            format_table(
-                ["protocol", "n", "mean load", "p1", "p99"],
-                rows,
-                "Fig. 10 — query load",
-            )
-        )
-    elif args.command == "fig11":
-        points = run_mass_departure_experiment(
-            probabilities=tuple(args.probabilities),
-            lookups=args.lookups,
-            seed=args.seed,
-            observer=sink,
-            workers=args.workers,
-        )
-        rows = [
-            [
-                p.protocol,
-                f"{p.probability:.1f}",
-                f"{p.mean_path_length:.2f}",
-                p.timeout_row(),
-                p.lookup_failures,
-            ]
-            for p in points
-        ]
-        _print(
-            format_table(
-                ["protocol", "p", "mean path", "timeouts", "failures"],
-                rows,
-                "Fig. 11 + Table 4 — massive departures",
-            )
-        )
-    elif args.command == "fig12":
-        points = run_churn_experiment(
-            rates=tuple(args.rates),
-            population=args.population,
-            duration=args.duration,
-            seed=args.seed,
-            observer=sink,
-            workers=args.workers,
-        )
-        rows = [
-            [
-                p.protocol,
-                f"{p.rate:.2f}",
-                f"{p.mean_path_length:.2f}",
-                p.timeout_row(),
-                p.lookup_failures,
-            ]
-            for p in points
-        ]
-        _print(
-            format_table(
-                ["protocol", "R", "mean path", "timeouts", "failures"],
-                rows,
-                "Fig. 12 + Table 5 — churn",
-            )
-        )
-    elif args.command == "fig13":
-        points = run_sparsity_experiment(
-            lookups=args.lookups,
-            seed=args.seed,
-            observer=sink,
-            workers=args.workers,
-        )
-        rows = [
-            [
-                p.protocol,
-                f"{p.sparsity:.1f}",
-                p.population,
-                f"{p.mean_path_length:.2f}",
-            ]
-            for p in points
-        ]
-        _print(
-            format_table(
-                ["protocol", "sparsity", "nodes", "mean path"],
-                rows,
-                "Fig. 13 — sparsity",
-            )
-        )
-    elif args.command == "fig14":
-        points = run_koorde_sparsity_breakdown(
-            lookups=args.lookups,
-            seed=args.seed,
-            observer=sink,
-            workers=args.workers,
-            backend=args.backend,
-        )
-        rows = [
-            [
-                f"{1 - p.size / 2048:.1f}",
-                p.size,
-                f"{p.fraction_by_phase['successor'] * 100:.0f}%",
-            ]
-            for p in points
-        ]
-        _print(
-            format_table(
-                ["sparsity", "nodes", "successor share"],
-                rows,
-                "Fig. 14 — Koorde breakdown vs sparsity",
-            )
-        )
-    elif args.command == "fig-crash":
-        points = run_crash_experiment(
-            probabilities=tuple(args.crash_prob),
-            lookups=args.lookups,
-            seed=args.seed,
-            message_loss=args.msg_loss,
-            retry_budget=args.retry_budget,
-            dimension=args.dimension,
-            observer=sink,
-            workers=args.workers,
-            backend=args.backend,
-        )
-        rows = [
-            [
-                p.protocol,
-                f"{p.probability:.1f}",
-                p.mode,
-                f"{p.success_rate * 100:.1f}%",
-                f"{p.mean_path_length:.2f}",
-                p.timeout_row(),
-                f"{p.mean_retries:.2f}",
-                p.route_repairs,
-            ]
-            for p in points
-        ]
-        _print(
-            format_table(
-                [
-                    "protocol",
-                    "p",
-                    "mode",
-                    "success",
-                    "mean path",
-                    "timeouts",
-                    "retries",
-                    "repairs",
-                ],
-                rows,
-                "Crash resilience — graceful vs ungraceful failures",
-            )
-        )
-    elif args.command == "fig-latency":
-        import json
-
-        from repro.experiments import (
-            latency_report,
-            run_latency_experiment,
-            validate_latency_report,
-        )
-
-        model = _latency_model(args)
-        points = run_latency_experiment(
-            dimension=args.dimension,
-            lookups=args.lookups,
-            seed=args.seed,
-            model=model,
-            observer=sink,
-            workers=args.workers,
-            backend=args.backend,
-        )
-        report = latency_report(
-            points,
-            dimension=args.dimension,
-            lookups=args.lookups,
-            seed=args.seed,
-            model=model,
-            workers=args.workers,
-        )
-        validate_latency_report(report)
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        rows = [
-            [
-                p.label,
-                f"{p.mean_ms:.2f}",
-                f"{p.p50_ms:.2f}",
-                f"{p.p95_ms:.2f}",
-                f"{p.p99_ms:.2f}",
-                f"{p.mean_path_length:.2f}",
-                p.digest[:12],
-            ]
-            for p in points
-        ]
-        _print(
-            format_table(
-                [
-                    "overlay",
-                    "mean ms",
-                    "p50",
-                    "p95",
-                    "p99",
-                    "mean hops",
-                    "digest",
-                ],
-                rows,
-                f"fig-latency — modeled milliseconds, n = {points[0].size}",
-            )
-        )
-        proximity = report.get("proximity")
-        if proximity is not None:
-            verdict = (
-                "wins" if proximity["proximity_wins"] else "DOES NOT WIN"
-            )
-            print(
-                f"proximity selection {verdict}: "
-                f"{proximity['proximity_mean_ms']:.2f} ms vs "
-                f"{proximity['random_mean_ms']:.2f} ms random "
-                f"({proximity['improvement_ms']:+.2f} ms)"
-            )
-            print()
-        print(f"latency report -> {args.output}", file=sys.stderr)
-    elif args.command == "fig-adversary":
-        import json
-
-        from repro.experiments import (
-            adversary_report,
-            run_adversary_experiment,
-            validate_adversary_report,
-        )
-
-        results = run_adversary_experiment(
-            population=args.population,
-            protocols=tuple(args.protocols),
-            fractions=tuple(args.fractions),
-            lookups=args.lookups,
-            seed=args.seed,
-            target_key=args.target_key,
-            observer=sink,
-            workers=args.workers,
-            backend=args.backend,
-            cache_capacity=args.cache_capacity,
-        )
-        report = adversary_report(
-            results,
-            population=args.population,
-            lookups=args.lookups,
-            seed=args.seed,
-            target_key=args.target_key,
-            workers=args.workers,
-            cache_capacity=args.cache_capacity,
-        )
-        validate_adversary_report(report)
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        rows = [
-            [
-                p.label,
-                str(p.sybils),
-                f"{p.capture_fraction:.4f}",
-                "yes" if p.target_captured else "no",
-                f"{p.interception_rate:.3f}",
-                f"{p.success_rate:.3f}",
-                f"{p.mean_hops:.2f}",
-                p.digest[:12],
-            ]
-            for p in results["attacks"]
-        ]
-        _print(
-            format_table(
-                [
-                    "overlay/fraction",
-                    "sybils",
-                    "capture",
-                    "target",
-                    "intercept",
-                    "success",
-                    "mean hops",
-                    "digest",
-                ],
-                rows,
-                f"fig-adversary — sybil+eclipse, n = {args.population}",
-            )
-        )
-        hotspot_rows = [
-            [
-                h.label,
-                f"{h.mean_hops:.2f}",
-                f"{h.hit_rate:.3f}",
-                f"{h.success_rate:.3f}",
-                h.digest[:12],
-            ]
-            for h in results["hotspots"]
-        ]
-        _print(
-            format_table(
-                ["overlay/cache", "mean hops", "hit rate", "success", "digest"],
-                hotspot_rows,
-                f"fig-adversary — Zipf hotspot, s = {report['hotspot']['zipf_s']}",
-            )
-        )
-        print(f"adversary report -> {args.output}", file=sys.stderr)
-    elif args.command == "fig-scale":
-        import json
-
-        from repro.experiments import (
-            run_scale_experiment,
-            scale_parity,
-            scale_report,
-            validate_scale_report,
-        )
-
-        points = run_scale_experiment(
-            counts=tuple(args.counts),
-            protocols=tuple(args.protocols),
-            lookups=args.lookups,
-            seed=args.seed,
-            sampler=args.sampler,
-        )
-        parity = scale_parity(
-            points,
-            parity_count=args.parity_count,
-            seed=args.seed,
-            ladder_counts=tuple(args.ladder),
-        )
-        report = scale_report(
-            points,
-            parity,
-            lookups=args.lookups,
-            seed=args.seed,
-            sampler=args.sampler,
-        )
-        validate_scale_report(report)
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        rows = [
-            [
-                p.protocol,
-                f"{p.count:,}",
-                p.sizing,
-                f"{p.build_seconds:.3f}",
-                f"{p.build_nodes_per_sec:,.0f}",
-                f"{p.column_bytes / 1e6:.0f}",
-                f"{p.lookups_per_sec:,.0f}",
-                f"{p.mean_hops:.2f}",
-                f"{p.success_rate:.3f}",
-                p.digest[:12],
-            ]
-            for p in points
-        ]
-        _print(
-            format_table(
-                [
-                    "protocol",
-                    "n",
-                    "d/bits",
-                    "build s",
-                    "nodes/s",
-                    "col MB",
-                    "lookups/s",
-                    "mean hops",
-                    "success",
-                    "digest",
-                ],
-                rows,
-                "fig-scale — bulk-built overlays under the columnar kernel",
-            )
-        )
-        parity_verdict = "match" if parity["digest_match"] else "MISMATCH"
-        speedup_verdict = "ok" if parity["speedup_ok"] else "BELOW BAR"
-        print(
-            f"parity digest at n={parity['parity_count']}: {parity_verdict}; "
-            f"bulk {parity['bulk_build_seconds']:.3f}s vs extrapolated "
-            f"object {parity['extrapolated_object_seconds']:.1f}s "
-            f"(fit n^{parity['fit_exponent']:.2f}) = "
-            f"{parity['speedup']:.0f}x ({speedup_verdict})"
-        )
-        print()
-        print(f"scale report -> {args.output}", file=sys.stderr)
-    elif args.command == "maint":
-        points = run_maintenance_experiment(
-            population=args.population,
-            events=args.events,
-            seed=args.seed,
-            lookups=args.lookups,
-            observer=sink,
-            workers=args.workers,
-        )
-        rows = [
-            [
-                p.protocol,
-                f"{p.updates_per_join:.1f}",
-                f"{p.updates_per_leave:.1f}",
-                f"{p.updates_per_departure:.1f}",
-                f"{p.probe_mean_path:.2f}",
-                p.probe_failures,
-            ]
-            for p in points
-        ]
-        _print(
-            format_table(
-                [
-                    "protocol",
-                    "per join",
-                    "per leave",
-                    "per departure",
-                    "probe path",
-                    "probe failures",
-                ],
-                rows,
-                "Maintenance fan-out + post-departure probe",
-            )
-        )
-    elif args.command == "serve":
-        return _run_serve(args)
-    elif args.command == "loadgen":
-        return _run_loadgen(args)
-    elif args.command == "churnstorm":
-        return _run_churnstorm(args)
-    elif args.command == "table1":
-        rows = [
-            [
-                r.label,
-                r.base_network,
-                r.lookup_complexity,
-                r.routing_state,
-                r.max_observed_state,
-            ]
-            for r in architecture_table(seed=args.seed)
-        ]
-        _print(
-            format_table(
-                ["system", "base", "lookup", "state", "measured max"],
-                rows,
-                "Table 1 — architecture",
-            )
-        )
+    if not command.columns:
+        return command.run(args)
+    common: Dict[str, Any] = {"seed": args.seed}
+    if "trace" in command.takes:
+        common["observer"] = sink
+    for name in _SHARED:
+        if name in command.takes:
+            common[name] = getattr(args, name)
+    result = command.run(args, **common)
+    items = result
+    if command.report is not None:
+        _write_report(args, result)
+        items = result["cells"]
+    title = command.title.format(args=args, result=result)
+    _print(_table(command.columns, items, title))
+    footer = command.footer(result) if command.footer is not None else None
+    if footer is not None:
+        _print(footer)
     return 0
 
 

@@ -56,6 +56,7 @@ from repro.sim.parallel import (
     run_sharded_lookups,
 )
 from repro.sim.workload import ZipfSampler
+from repro.util.reports import check_cells, check_report, check_section
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -461,13 +462,6 @@ _HOTSPOT_CELL_KEYS = (
 )
 
 
-def _check_digest(label: object, digest: object, what: str) -> None:
-    if not (isinstance(digest, str) and len(digest) == 64):
-        raise ValueError(
-            f"{what} cell {label!r} digest is not a sha256 hex digest"
-        )
-
-
 def validate_adversary_report(report: Dict[str, object]) -> None:
     """Schema-guard a ``BENCH_adversary.json`` document.
 
@@ -475,28 +469,12 @@ def validate_adversary_report(report: Dict[str, object]) -> None:
     malformed cells or plans, out-of-range rates, digests that are not
     sha256 hex strings, or fewer than three overlays covered.
     """
-    if not isinstance(report, dict):
-        raise ValueError("adversary report must be a JSON object")
-    if report.get("schema") != ADVERSARY_BENCH_SCHEMA:
-        raise ValueError(
-            f"adversary report schema is {report.get('schema')!r}, "
-            f"expected {ADVERSARY_BENCH_SCHEMA!r}"
-        )
-    for key in _ADVERSARY_REPORT_KEYS:
-        if key not in report:
-            raise ValueError(f"adversary report is missing {key!r}")
+    check_report(
+        report, "adversary", ADVERSARY_BENCH_SCHEMA, _ADVERSARY_REPORT_KEYS
+    )
     cells = report["cells"]
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("adversary report has no cells")
-    protocols = set()
+    check_cells(cells, _ADVERSARY_CELL_KEYS, "adversary")
     for cell in cells:
-        if not isinstance(cell, dict):
-            raise ValueError("adversary report cells must be objects")
-        for key in _ADVERSARY_CELL_KEYS:
-            if key not in cell:
-                raise ValueError(
-                    f"adversary cell {cell.get('label')!r} is missing {key!r}"
-                )
         # Round-trips iff the embedded plan block is well-formed.
         AdversaryPlan.from_config(cell["plan"])
         for rate_key in (
@@ -514,32 +492,21 @@ def validate_adversary_report(report: Dict[str, object]) -> None:
                     f"adversary cell {cell['label']!r} {rate_key} "
                     f"{rate!r} is not a rate in [0, 1]"
                 )
-        _check_digest(cell["label"], cell["digest"], "adversary")
-        protocols.add(cell["protocol"])
+    protocols = {cell["protocol"] for cell in cells}
     if len(protocols) < 3:
         raise ValueError(
             f"adversary report covers {len(protocols)} overlays, need >= 3"
         )
     hotspot = report["hotspot"]
-    if not isinstance(hotspot, dict):
-        raise ValueError("adversary report hotspot section must be an object")
-    for key in ("zipf_s", "key_universe", "cache_capacity", "cells"):
-        if key not in hotspot:
-            raise ValueError(
-                f"adversary report hotspot section is missing {key!r}"
-            )
+    check_section(
+        hotspot,
+        ("zipf_s", "key_universe", "cache_capacity", "cells"),
+        "adversary report hotspot section",
+    )
     hotspot_cells = hotspot["cells"]
     if not isinstance(hotspot_cells, list) or not hotspot_cells:
         raise ValueError("adversary report has no hotspot cells")
-    for cell in hotspot_cells:
-        if not isinstance(cell, dict):
-            raise ValueError("hotspot cells must be objects")
-        for key in _HOTSPOT_CELL_KEYS:
-            if key not in cell:
-                raise ValueError(
-                    f"hotspot cell {cell.get('label')!r} is missing {key!r}"
-                )
-        _check_digest(cell["label"], cell["digest"], "hotspot")
+    check_cells(hotspot_cells, _HOTSPOT_CELL_KEYS, "hotspot", "hotspot")
     degradation = report["degradation"]
     if not isinstance(degradation, dict) or not degradation:
         raise ValueError("adversary report degradation section is empty")

@@ -37,6 +37,7 @@ from repro.sim.parallel import (
     plain_setup,
     run_sharded_lookups,
 )
+from repro.util.reports import check_cells, check_keys, check_report
 
 __all__ = [
     "LATENCY_BENCH_SCHEMA",
@@ -257,47 +258,24 @@ def validate_latency_report(report: Dict[str, object]) -> None:
     Raises ``ValueError`` naming the first violation: missing keys,
     malformed cells, or digests that are not sha256 hex strings.
     """
-    if not isinstance(report, dict):
-        raise ValueError("latency report must be a JSON object")
-    if report.get("schema") != LATENCY_BENCH_SCHEMA:
-        raise ValueError(
-            f"latency report schema is {report.get('schema')!r}, "
-            f"expected {LATENCY_BENCH_SCHEMA!r}"
-        )
-    for key in _LATENCY_REPORT_KEYS:
-        if key not in report:
-            raise ValueError(f"latency report is missing {key!r}")
+    check_report(
+        report, "latency", LATENCY_BENCH_SCHEMA, _LATENCY_REPORT_KEYS
+    )
     # Round-trips iff the model block is well-formed.
     LatencyModel.from_config(report["model"])
-    cells = report["cells"]
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("latency report has no cells")
-    for cell in cells:
-        if not isinstance(cell, dict):
-            raise ValueError("latency report cells must be objects")
-        for key in _LATENCY_CELL_KEYS:
-            if key not in cell:
-                raise ValueError(
-                    f"latency cell {cell.get('label')!r} is missing {key!r}"
-                )
-        digest = cell["digest"]
-        if not (isinstance(digest, str) and len(digest) == 64):
-            raise ValueError(
-                f"latency cell {cell['label']!r} digest is not a sha256 "
-                "hex digest"
-            )
+    check_cells(report["cells"], _LATENCY_CELL_KEYS, "latency")
     proximity = report.get("proximity")
     if proximity is not None:
-        for key in (
-            "random_mean_ms",
-            "proximity_mean_ms",
-            "improvement_ms",
-            "proximity_wins",
-        ):
-            if key not in proximity:
-                raise ValueError(
-                    f"latency report proximity section is missing {key!r}"
-                )
+        check_keys(
+            proximity,
+            (
+                "random_mean_ms",
+                "proximity_mean_ms",
+                "improvement_ms",
+                "proximity_wins",
+            ),
+            "latency report proximity section",
+        )
         wins = (
             proximity["proximity_mean_ms"] < proximity["random_mean_ms"]
         )

@@ -37,6 +37,13 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
 
 from repro.dht.bulkbuild import build_columns, packed_digest
 from repro.dht.kernel import kernel_from_columns
+from repro.util.reports import (
+    check_cells,
+    check_digest,
+    check_keys,
+    check_report,
+    check_section,
+)
 
 __all__ = [
     "SCALE_BENCH_SCHEMA",
@@ -408,8 +415,8 @@ _SCALE_PARITY_KEYS = (
 )
 
 
-def _sha256_hex(value) -> bool:
-    return isinstance(value, str) and len(value) == 64
+def _cell_name(cell: Dict[str, object]) -> str:
+    return f"{cell.get('protocol')!r}/{cell.get('count')!r}"
 
 
 def validate_scale_report(report: Dict[str, object]) -> None:
@@ -420,58 +427,26 @@ def validate_scale_report(report: Dict[str, object]) -> None:
     re-derive from each other (digest match, speedup arithmetic and the
     acceptance flag).
     """
-    if not isinstance(report, dict):
-        raise ValueError("scale report must be a JSON object")
-    if report.get("schema") != SCALE_BENCH_SCHEMA:
-        raise ValueError(
-            f"scale report schema is {report.get('schema')!r}, "
-            f"expected {SCALE_BENCH_SCHEMA!r}"
-        )
-    for key in _SCALE_REPORT_KEYS:
-        if key not in report:
-            raise ValueError(f"scale report is missing {key!r}")
+    check_report(report, "scale", SCALE_BENCH_SCHEMA, _SCALE_REPORT_KEYS)
     cells = report["cells"]
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("scale report has no cells")
+    check_cells(cells, _SCALE_CELL_KEYS, "scale", name=_cell_name)
     for cell in cells:
-        if not isinstance(cell, dict):
-            raise ValueError("scale report cells must be objects")
-        for key in _SCALE_CELL_KEYS:
-            if key not in cell:
-                raise ValueError(
-                    f"scale cell {cell.get('protocol')!r}/"
-                    f"{cell.get('count')!r} is missing {key!r}"
-                )
-        if not _sha256_hex(cell["digest"]):
-            raise ValueError(
-                f"scale cell {cell['protocol']!r}/{cell['count']} digest "
-                "is not a sha256 hex digest"
-            )
         if not 0.0 <= float(cell["success_rate"]) <= 1.0:
             raise ValueError(
-                f"scale cell {cell['protocol']!r}/{cell['count']} "
-                "success_rate is outside [0, 1]"
+                f"scale cell {_cell_name(cell)} success_rate is outside "
+                "[0, 1]"
             )
         if not math.isclose(
             float(cell["log2_count"]), math.log2(int(cell["count"]))
         ):
             raise ValueError(
-                f"scale cell {cell['protocol']!r}/{cell['count']} "
-                "log2_count is inconsistent with count"
+                f"scale cell {_cell_name(cell)} log2_count is "
+                "inconsistent with count"
             )
     parity = report["parity"]
-    if not isinstance(parity, dict):
-        raise ValueError("scale report parity section must be an object")
-    for key in _SCALE_PARITY_KEYS:
-        if key not in parity:
-            raise ValueError(
-                f"scale report parity section is missing {key!r}"
-            )
+    check_section(parity, _SCALE_PARITY_KEYS, "scale report parity section")
     for key in ("object_digest", "bulk_digest"):
-        if not _sha256_hex(parity[key]):
-            raise ValueError(
-                f"scale parity {key} is not a sha256 hex digest"
-            )
+        check_digest(parity[key], f"scale parity {key}")
     match = parity["object_digest"] == parity["bulk_digest"]
     if bool(parity["digest_match"]) != match:
         raise ValueError(
@@ -481,11 +456,11 @@ def validate_scale_report(report: Dict[str, object]) -> None:
     if not isinstance(ladder, list) or len(ladder) < 2:
         raise ValueError("scale parity ladder needs at least two rungs")
     for rung in ladder:
-        for key in ("count", "dimension", "seconds", "nodes_per_sec"):
-            if key not in rung:
-                raise ValueError(
-                    f"scale parity ladder rung is missing {key!r}"
-                )
+        check_keys(
+            rung,
+            ("count", "dimension", "seconds", "nodes_per_sec"),
+            "scale parity ladder rung",
+        )
     speedup = float(parity["extrapolated_object_seconds"]) / float(
         parity["bulk_build_seconds"]
     )

@@ -62,6 +62,12 @@ from repro.net.cluster import LocalCluster
 from repro.sim.faults import ChurnPlan, RetryPolicy
 from repro.sim.latency import LatencyModel
 from repro.sim.workload import ZipfSampler, random_keys
+from repro.util.reports import (
+    check_digest,
+    check_keys,
+    check_report,
+    check_section,
+)
 from repro.util.rng import derive_rng, make_rng
 from repro.util.stats import mean, percentile
 
@@ -138,18 +144,10 @@ def validate_net_report(report: Dict[str, object]) -> None:
     its lost-key count.  Raises ``ValueError`` naming the first
     violation.
     """
-    if not isinstance(report, dict):
-        raise ValueError("net report must be a JSON object")
-    if report.get("schema") != NET_BENCH_SCHEMA:
-        raise ValueError(
-            f"net report schema is {report.get('schema')!r}, "
-            f"expected {NET_BENCH_SCHEMA!r}"
-        )
     # ``mode`` is required: a very-early SIGINT once produced a partial
     # report without it, which this validator silently took for a
     # closed-loop run — never default a discriminator.
-    if "mode" not in report:
-        raise ValueError("net report is missing 'mode'")
+    check_report(report, "net", NET_BENCH_SCHEMA, ("mode",))
     mode = report["mode"]
     if mode not in ("closed-loop", "open-churn"):
         raise ValueError(f"net report mode {mode!r} is unknown")
@@ -169,29 +167,16 @@ def validate_net_report(report: Dict[str, object]) -> None:
     if mode == "open-churn":
         _validate_churn_report(report)
         return
-    for key in _NET_REPORT_KEYS:
-        if key not in report:
-            raise ValueError(f"net report is missing {key!r}")
+    check_keys(report, _NET_REPORT_KEYS, "net report")
     for section, keys in (
         ("ops", _NET_OPS_KEYS),
         ("latency_ms", _NET_LATENCY_KEYS),
         ("digest", _NET_DIGEST_KEYS),
     ):
-        block = report[section]
-        if not isinstance(block, dict):
-            raise ValueError(f"net report {section!r} must be an object")
-        for key in keys:
-            if key not in block:
-                raise ValueError(
-                    f"net report {section!r} is missing {key!r}"
-                )
+        check_section(report[section], keys, f"net report {section!r}")
     digest = report["digest"]
     for side in ("live", "expected"):
-        value = digest[side]
-        if not (isinstance(value, str) and len(value) == 64):
-            raise ValueError(
-                f"net report digest.{side} is not a sha256 hex digest"
-            )
+        check_digest(digest[side], f"net report digest.{side}")
     ops = report["ops"]
     expected_match = (
         ops["completed"] == ops["total"]
@@ -204,22 +189,13 @@ def validate_net_report(report: Dict[str, object]) -> None:
 
 
 def _validate_churn_report(report: Dict[str, object]) -> None:
-    for key in _NET_CHURN_REPORT_KEYS:
-        if key not in report:
-            raise ValueError(f"churn report is missing {key!r}")
+    check_keys(report, _NET_CHURN_REPORT_KEYS, "churn report")
     for section, keys in (
         ("ops", _NET_OPS_KEYS),
         ("latency_ms", _NET_LATENCY_KEYS),
         ("churn", _NET_CHURN_KEYS),
     ):
-        block = report[section]
-        if not isinstance(block, dict):
-            raise ValueError(f"churn report {section!r} must be an object")
-        for key in keys:
-            if key not in block:
-                raise ValueError(
-                    f"churn report {section!r} is missing {key!r}"
-                )
+        check_section(report[section], keys, f"churn report {section!r}")
     churn = report["churn"]
     survival = churn["survival_rate"]
     if not isinstance(survival, (int, float)) or not 0.0 <= survival <= 1.0:

@@ -4,7 +4,7 @@ complete Cycloid network, on both lookup backends.
 Routing all pairs makes the hop total a property of the algorithm on
 that network rather than of a sampled workload, so these pins hold the
 routing code to fixed numbers without relying on any stored digest.
-Dimension 6 (147,456 pairs) runs in CI via
+Dimensions 6 and 7 (147,456 and 802,816 pairs) run in CI via
 ``benchmarks/exhaustive_oracle.py``.
 """
 

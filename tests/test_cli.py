@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main, parse_args
 
 
 class TestParser:
@@ -21,6 +21,18 @@ class TestParser:
     def test_seed_is_global(self):
         args = build_parser().parse_args(["--seed", "7", "fig13"])
         assert args.seed == 7
+
+    @pytest.mark.parametrize("command, own", [
+        ("fig-scale", 11), ("fig-adversary", 23),
+    ])
+    def test_explicit_seed_beats_a_commands_own_seed(self, command, own):
+        """A command with its own default seed still honours an explicit
+        ``--seed``, given before or after the command name."""
+        before = build_parser().parse_args(["--seed", "5", command])
+        after = build_parser().parse_args([command, "--seed", "5"])
+        assert before.seed == after.seed == 5
+        assert parse_args([command]).seed == own
+        assert parse_args(["fig13"]).seed == 42
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
@@ -42,97 +54,136 @@ class TestParser:
         assert args.lookups == 1000
 
 
-class TestCommands:
-    def run(self, argv, capsys):
+#: Every command's smoke arguments and text its output must show.  Each
+#: command of the table gets one generated ``test_<command>_small``.
+SMOKE = {
+    "fig5": (
+        ["fig5", "--lookups", "100", "--dimensions", "3"],
+        ["Fig. 5", "cycloid", "viceroy"],
+    ),
+    "fig6": (["fig6", "--lookups", "100", "--dimensions", "3"], ["Fig. 6"]),
+    "fig7": (
+        ["fig7", "--lookups", "100", "--dimensions", "4"],
+        ["ascending", "de_bruijn"],
+    ),
+    "fig8": (
+        ["fig8", "--nodes", "200", "--keys", "2000"],
+        ["key distribution"],
+    ),
+    "fig9": (
+        ["fig9", "--nodes", "150", "--keys", "1500"],
+        ["fig9 — key distribution (150 nodes)"],
+    ),
+    "fig10": (["fig10", "--lookups-per-node", "1"], ["query load"]),
+    "fig11": (
+        ["fig11", "--lookups", "200", "--probabilities", "0.2"],
+        ["Table 4"],
+    ),
+    "fig12": (
+        [
+            "fig12",
+            "--rates", "0.1",
+            "--duration", "60",
+            "--population", "100",
+        ],
+        ["Table 5"],
+    ),
+    "fig13": (["fig13", "--lookups", "100"], ["sparsity"]),
+    "fig14": (["fig14", "--lookups", "100"], ["Koorde"]),
+    "fig-crash": (
+        [
+            "fig-crash",
+            "--dimension", "3",
+            "--lookups", "40",
+            "--crash-prob", "0.3",
+        ],
+        ["Crash resilience", "graceful", "crash+retry", "pastry", "can"],
+    ),
+    "fig-latency": (
+        ["fig-latency", "--dimension", "3", "--lookups", "60"],
+        ["modeled milliseconds, n = 24", "proximity selection"],
+    ),
+    "fig-adversary": (
+        [
+            "fig-adversary",
+            "--population", "64",
+            "--lookups", "40",
+            "--fractions", "0", "0.1",
+        ],
+        ["sybil+eclipse, n = 64", "Zipf hotspot"],
+    ),
+    "fig-scale": (
+        [
+            "fig-scale",
+            "--counts", "2048",
+            "--lookups", "64",
+            "--parity-count", "256",
+            "--ladder", "256", "512",
+        ],
+        ["bulk-built overlays", "parity digest at n=256: match"],
+    ),
+    "maint": (
+        [
+            "maint",
+            "--population", "64",
+            "--events", "8",
+            "--lookups", "30",
+        ],
+        ["Maintenance fan-out", "probe"],
+    ),
+    "serve": (
+        ["serve", "--dimension", "3", "--servers", "2", "--lifetime", "0.1"],
+        ["serving 24 cycloid nodes on 2 servers"],
+    ),
+    "loadgen": (
+        [
+            "loadgen",
+            "--dimension", "3",
+            "--servers", "2",
+            "--clients", "4",
+            "--lookups", "10",
+            "--puts", "2",
+        ],
+        ["loadgen — cycloid, 4 clients", "match"],
+    ),
+    "churnstorm": (
+        [
+            "churnstorm",
+            "--dimension", "3",
+            "--servers", "2",
+            "--ops", "40",
+            "--rate", "300",
+            "--kills", "1",
+        ],
+        ["churnstorm — cycloid, replicas=2, 1 kills", "survival rate"],
+    ),
+    "table1": (["table1"], ["7-entry Cycloid", "CCC"]),
+}
+
+
+def _smoke_test(command):
+    def test(self, capsys, tmp_path, monkeypatch):
+        argv, shown = SMOKE[command]
+        monkeypatch.chdir(tmp_path)  # reports land in their default path
         assert main(argv) == 0
-        return capsys.readouterr().out
+        out = capsys.readouterr().out
+        for text in shown:
+            assert text in out
 
-    def test_fig5_small(self, capsys):
-        out = self.run(
-            ["fig5", "--lookups", "100", "--dimensions", "3"], capsys
-        )
-        assert "Fig. 5" in out
-        assert "cycloid" in out and "viceroy" in out
+    return test
 
-    def test_fig6_small(self, capsys):
-        out = self.run(
-            ["fig6", "--lookups", "100", "--dimensions", "3"], capsys
-        )
-        assert "Fig. 6" in out
 
-    def test_fig7_small(self, capsys):
-        out = self.run(
-            ["fig7", "--lookups", "100", "--dimensions", "4"], capsys
-        )
-        assert "ascending" in out and "de_bruijn" in out
+class TestCommands:
+    def test_every_command_has_smoke_arguments(self):
+        assert set(SMOKE) == set(COMMANDS)
 
-    def test_fig8_small(self, capsys):
-        out = self.run(
-            ["fig8", "--nodes", "200", "--keys", "2000"], capsys
-        )
-        assert "key distribution" in out
 
-    def test_fig10(self, capsys):
-        out = self.run(["fig10", "--lookups-per-node", "1"], capsys)
-        assert "query load" in out
-
-    def test_fig11_small(self, capsys):
-        out = self.run(
-            ["fig11", "--lookups", "200", "--probabilities", "0.2"], capsys
-        )
-        assert "Table 4" in out
-
-    def test_fig12_small(self, capsys):
-        out = self.run(
-            [
-                "fig12",
-                "--rates", "0.1",
-                "--duration", "60",
-                "--population", "100",
-            ],
-            capsys,
-        )
-        assert "Table 5" in out
-
-    def test_fig13_small(self, capsys):
-        out = self.run(["fig13", "--lookups", "100"], capsys)
-        assert "sparsity" in out
-
-    def test_fig14_small(self, capsys):
-        out = self.run(["fig14", "--lookups", "100"], capsys)
-        assert "Koorde" in out
-
-    def test_table1(self, capsys):
-        out = self.run(["table1"], capsys)
-        assert "7-entry Cycloid" in out
-        assert "CCC" in out
-
-    def test_fig_crash_small(self, capsys):
-        out = self.run(
-            [
-                "fig-crash",
-                "--dimension", "3",
-                "--lookups", "40",
-                "--crash-prob", "0.3",
-            ],
-            capsys,
-        )
-        assert "Crash resilience" in out
-        assert "graceful" in out and "crash+retry" in out
-        assert "pastry" in out and "can" in out
-
-    def test_maint_small(self, capsys):
-        out = self.run(
-            [
-                "maint",
-                "--population", "64",
-                "--events", "8",
-                "--lookups", "30",
-            ],
-            capsys,
-        )
-        assert "Maintenance fan-out" in out
-        assert "probe" in out
+for _name in COMMANDS:
+    setattr(
+        TestCommands,
+        f"test_{_name.replace('-', '_')}_small",
+        _smoke_test(_name),
+    )
 
 
 class TestTrace:
@@ -157,8 +208,16 @@ class TestTrace:
 
     def test_trace_rejected_for_untraceable_command(self, capsys, tmp_path):
         trace = tmp_path / "hops.jsonl"
-        assert main(["--trace", str(trace), "table1"]) == 2
-        assert "--trace is not supported" in capsys.readouterr().err
+        untraceable = [
+            name
+            for name, command in COMMANDS.items()
+            if not {"trace", "live-trace"} & set(command.takes)
+        ]
+        assert "table1" in untraceable and "serve" in untraceable
+        for name in untraceable:
+            assert main(["--trace", str(trace), name]) == 2
+            assert "--trace is not supported" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_trace_accepted_for_churn(self, capsys, tmp_path):
         trace = tmp_path / "churn.jsonl"
@@ -205,10 +264,12 @@ class TestWorkers:
 
     def test_workers_flag_on_every_figure_command(self):
         parser = build_parser()
-        for command in (
-            "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "fig12", "fig13", "fig14", "fig-crash", "maint",
-        ):
+        fanned = {n for n, c in COMMANDS.items() if "workers" in c.takes}
+        # fig-scale times single-process builds; the rest are not figures.
+        assert set(COMMANDS) - fanned == {
+            "fig-scale", "serve", "loadgen", "churnstorm", "table1",
+        }
+        for command in fanned:
             args = parser.parse_args([command, "--workers", "3"])
             assert args.workers == 3
             assert parser.parse_args([command]).workers == 1
