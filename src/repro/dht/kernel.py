@@ -807,8 +807,10 @@ class CycloidKernel(_KernelBase):
         sweeps generally): identical wave execution, but inputs and
         outputs stay numpy arrays — no node objects, names or
         ``LookupRecord`` allocation.  Returns per-lookup ``hops`` /
-        ``timeouts`` / ``success`` / ``final`` (delivery node index) /
-        ``owners`` plus the ``[batch, phases]`` ``phase_counts``.
+        ``timeouts`` / ``success`` / ``final`` (delivery node index)
+        plus the ``[batch, phases]`` ``phase_counts``; the key's owner
+        is not returned (``success`` already says whether ``final`` is
+        it).
         """
         cur = np.asarray(source_idx, dtype=np.int64).copy()
         klin = np.asarray(key_linear, dtype=np.int64)

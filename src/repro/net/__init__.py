@@ -15,9 +15,9 @@ of asyncio node servers on loopback:
   (:class:`repro.sim.faults.RetryPolicy`);
 * :mod:`repro.net.cluster` — :class:`LocalCluster`, the bootstrap /
   shutdown harness behind ``repro serve``;
-* :mod:`repro.net.loadgen` — the closed-loop load generator behind
-  ``repro loadgen`` (throughput, latency percentiles, digest-checked
-  ``BENCH_net.json``).
+* :mod:`repro.net.loadgen` — the one load driver behind ``repro
+  loadgen`` (closed loop, digest-checked) and ``repro churnstorm``
+  (open loop under churn), writing ``BENCH_net.json``.
 """
 
 from repro.net.client import ClusterClient, ClusterError, RpcConnection

@@ -333,13 +333,6 @@ class ClusterClient:
             self.address_of(name), MessageType.CRASH, {"name": name}
         )
 
-    async def repair(self, address: Address) -> Dict[str, object]:
-        """Ask one server to rescan its shard and re-push
-        under-replicated pairs (active rereplication, S24)."""
-        return await self._request(
-            (str(address[0]), int(address[1])), MessageType.REPAIR, {}
-        )
-
     async def close(self) -> None:
         connections, self._connections = self._connections, {}
         for connection in connections.values():

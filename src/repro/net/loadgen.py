@@ -1,56 +1,46 @@
-"""Closed-loop load generator with engine-parity checking (S22).
+"""The live load driver behind ``repro loadgen`` and ``repro churnstorm``.
 
-``repro loadgen`` drives a live cluster with ``clients`` concurrent
-closed-loop clients (each issues its next operation the moment the
-previous reply lands), measures throughput and latency percentiles, and
-— because every wire lookup must take *exactly* the hop path the
-in-memory :class:`~repro.dht.routing.LookupEngine` would take — proves
-correctness by digest: the sha256 over the live results' canonical
-``(index, op, key, source, path, hops, timeouts, success)`` tuples must
-equal the digest over the engine's records for the same deterministic
-workload on a pristine clone of the overlay.  The digests, the match
-verdict and the performance numbers land in a schema-tagged
-``BENCH_net.json`` (:data:`NET_BENCH_SCHEMA`, guarded by
-:func:`validate_net_report`).
+One coroutine, :func:`_drive`, runs an operation schedule against a
+live cluster, releasing each operation by one of two rules:
 
-The workload is three deterministic op groups derived from one seed:
-``lookups`` plain lookups, then ``puts`` PUTs, then one GET per PUT
-(run as a second closed-loop phase so every GET observes its PUT).  A
-*failure* is any transport-level error surviving the retry budget, any
-unsuccessful route, or a GET that does not return its PUT's value; the
-CI smoke job requires zero.
+* **closed loop** (``repro loadgen``, S22): when one of ``clients``
+  client slots frees up; a GET also waits until every PUT released
+  before it has landed.  Latency runs from the release.  Every wire
+  lookup must take *exactly* the hop path the in-memory
+  :class:`~repro.dht.routing.LookupEngine` takes, so the digest over
+  the live results (:func:`results_digest`) must equal the digest over
+  the engine's records for the same workload (:func:`make_operations`).
+  A failure is a transport error surviving the retry budget, an
+  unsuccessful route, or a GET that misses its PUT's value.
+* **open loop** (``repro churnstorm``, S24): at the op's ``scheduled``
+  instant (:func:`make_open_operations`), however earlier ones fared,
+  with latency from that instant — no coordinated omission.  Sources
+  are picked among the nodes alive at release.  A seeded
+  :class:`~repro.sim.faults.ChurnPlan` kills and rejoins virtual nodes
+  mid-run through live ``CRASH``/``JOIN`` RPCs; afterwards every
+  acknowledged PUT is read back, and the ``churn`` section states the
+  survival rate (the bar is 1.0 with ``replicas >= 2``).
 
-With ``trace_path`` set, every completed operation appends its per-hop
-trace as JSON lines in the ``--trace`` format of the simulated engine
-(``lookup``/``hop``/``node``/``phase``/``timeouts``) extended with the
-live-only fields ``rpc`` (the winning attempt's rpc id) and
-``latency_ms`` (the operation's wall-clock latency) — the presence of
-``rpc`` is what distinguishes a live trace line from a simulated one.
-
-A SIGINT mid-run no longer discards everything: the workers drain, the
-partial results are flushed into a report marked ``"complete": false``.
-
-**The churn harness (S24)** is the open-loop counterpart behind
-``repro churnstorm``: operations arrive on a seeded Poisson clock with
-Zipf key popularity and are fired *at their scheduled time* regardless
-of how earlier operations fared, with latency measured from the
-scheduled send instant — the coordinated-omission-free methodology —
-while a seeded :class:`~repro.sim.faults.ChurnPlan` kills and rejoins
-virtual nodes mid-run through live ``CRASH``/``JOIN`` RPCs.  After the
-storm, every key whose PUT was acknowledged is read back (closed-loop)
-and the report's ``churn`` section states the acknowledged-write
-survival rate — the acceptance bar is 1.0 with ``replicas >= 2``.
+Both modes write one ``BENCH_net.json`` shape (:func:`_report`, guarded
+by :func:`validate_net_report`): a shared header plus each mode's own
+sections.  ``"complete"`` means every operation was attempted and the
+run was not interrupted.  A SIGINT stops all further releases and churn
+events; in-flight operations drain, acknowledged writes are still read
+back and the partial report is written.  A SIGINT during the build
+yields the empty report marked ``"interrupted": "before-run"``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections
+import contextlib
+import dataclasses
 import hashlib
 import json
 import signal
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.dht.base import Network
 from repro.experiments.registry import (
@@ -73,6 +63,8 @@ from repro.util.stats import mean, percentile
 
 __all__ = [
     "NET_BENCH_SCHEMA",
+    "KEY_UNIVERSE",
+    "PUT_FRACTION",
     "validate_net_report",
     "build_from_recipe",
     "make_operations",
@@ -87,93 +79,21 @@ __all__ = [
 #: Schema tag of the ``BENCH_net.json`` report.
 NET_BENCH_SCHEMA = "repro/net-bench/v1"
 
-#: ``BENCH_net.json`` required shape: top-level keys and the nested
-#: keys of each aggregate section.  Guarded so CI archives can be
-#: machine-compared across commits without schema drift.
-_NET_REPORT_KEYS = (
-    "schema",
-    "mode",
-    "build",
-    "clients",
-    "seed",
-    "ops",
-    "latency_ms",
-    "throughput_ops_per_s",
-    "digest",
-)
-_NET_OPS_KEYS = ("total", "completed", "lookups", "puts", "gets", "failures")
-_NET_LATENCY_KEYS = ("mean", "p50", "p95", "p99", "max")
-_NET_DIGEST_KEYS = ("live", "expected", "match")
-#: Extra required shape of the ``"open-churn"`` mode (``repro
-#: churnstorm``): the digest section is replaced by the open/closed
-#: loop split and the churn ledger with its survival verdict.
-_NET_CHURN_REPORT_KEYS = (
-    "schema",
-    "mode",
-    "build",
-    "clients",
-    "seed",
-    "ops",
-    "latency_ms",
-    "throughput_ops_per_s",
-    "open_loop",
-    "closed_loop",
-    "churn",
-)
-_NET_CHURN_KEYS = (
-    "plan",
-    "events",
-    "crashes",
-    "joins",
-    "acked_writes",
-    "acked_keys",
-    "lost_acked_keys",
-    "survival_rate",
-    "under_replication_ms",
-)
+#: The open-loop workload's key corpus size and PUT share.
+KEY_UNIVERSE = 64
+PUT_FRACTION = 0.5
+
+#: Error codes after which an open-loop operation picks another source:
+#: its source died, or a route hit a node mid-repair.
+_REPICK_CODES = ("unknown_node", "not_hosted")
+_PICKS = 4
+#: The repair telemetry of a CRASH reply that the churn log keeps.
+_CRASH_KEYS = ("lost_pairs", "route_repairs", "repushed_pairs", "repair_ms")
+#: What installing or removing a signal handler raises where it cannot.
+_NO_SIGNALS = (NotImplementedError, ValueError, RuntimeError)
 
 
-def validate_net_report(report: Dict[str, object]) -> None:
-    """Schema-guard a ``BENCH_net.json`` loadgen report.
-
-    Two report modes share the schema tag, and every report must name
-    its ``"mode"`` explicitly: a ``"closed-loop"`` parity report must
-    carry a consistent engine-parity ``digest``; an ``"open-churn"`` report
-    (``repro churnstorm``) instead carries the open/closed loop split
-    plus a ``churn`` section whose ``survival_rate`` must agree with
-    its lost-key count.  Raises ``ValueError`` naming the first
-    violation.
-    """
-    # ``mode`` is required: a very-early SIGINT once produced a partial
-    # report without it, which this validator silently took for a
-    # closed-loop run — never default a discriminator.
-    check_report(report, "net", NET_BENCH_SCHEMA, ("mode",))
-    mode = report["mode"]
-    if mode not in ("closed-loop", "open-churn"):
-        raise ValueError(f"net report mode {mode!r} is unknown")
-    # Self-hosted runs count the STEP frames their servers forwarded;
-    # an attached run cannot see the servers, so the field is optional.
-    if "forwards_per_op" in report:
-        forwards = report["forwards_per_op"]
-        if (
-            isinstance(forwards, bool)
-            or not isinstance(forwards, (int, float))
-            or not forwards >= 0
-        ):
-            raise ValueError(
-                f"net report forwards_per_op {forwards!r} is not a "
-                "non-negative number"
-            )
-    if mode == "open-churn":
-        _validate_churn_report(report)
-        return
-    check_keys(report, _NET_REPORT_KEYS, "net report")
-    for section, keys in (
-        ("ops", _NET_OPS_KEYS),
-        ("latency_ms", _NET_LATENCY_KEYS),
-        ("digest", _NET_DIGEST_KEYS),
-    ):
-        check_section(report[section], keys, f"net report {section!r}")
+def _check_parity(report: Dict[str, object]) -> None:
     digest = report["digest"]
     for side in ("live", "expected"):
         check_digest(digest[side], f"net report digest.{side}")
@@ -188,31 +108,90 @@ def validate_net_report(report: Dict[str, object]) -> None:
         )
 
 
-def _validate_churn_report(report: Dict[str, object]) -> None:
-    check_keys(report, _NET_CHURN_REPORT_KEYS, "churn report")
-    for section, keys in (
-        ("ops", _NET_OPS_KEYS),
-        ("latency_ms", _NET_LATENCY_KEYS),
-        ("churn", _NET_CHURN_KEYS),
-    ):
-        check_section(report[section], keys, f"churn report {section!r}")
+def _check_survival(report: Dict[str, object]) -> None:
     churn = report["churn"]
     survival = churn["survival_rate"]
     if not isinstance(survival, (int, float)) or not 0.0 <= survival <= 1.0:
         raise ValueError(
-            "churn report survival_rate must be a number in [0, 1]"
+            "net report churn.survival_rate must be a number in [0, 1]"
         )
-    lost = churn["lost_acked_keys"]
-    if (survival == 1.0) != (lost == 0):
+    if (survival == 1.0) != (churn["lost_acked_keys"] == 0):
         raise ValueError(
-            "churn report survival_rate is inconsistent with "
+            "net report churn.survival_rate is inconsistent with "
             "lost_acked_keys"
         )
     window = churn["under_replication_ms"]
     if not isinstance(window, dict) or not {"mean", "max"} <= set(window):
         raise ValueError(
-            "churn report under_replication_ms needs 'mean' and 'max'"
+            "net report churn.under_replication_ms needs 'mean' and 'max'"
         )
+
+
+#: The shape every ``BENCH_net.json`` report shares: required top-level
+#: keys and the nested keys of each shared section.  Guarded so CI
+#: archives can be machine-compared across commits without schema drift.
+_HEADER_KEYS = ("build", "clients", "seed", "throughput_ops_per_s")
+_HEADER_SECTIONS = {
+    "ops": ("total", "completed", "lookups", "puts", "gets", "failures"),
+    "latency_ms": ("mean", "p50", "p95", "p99", "max"),
+}
+#: mode -> (its own sections with their required keys, its invariant).
+_MODES = {
+    "closed-loop": (
+        {"digest": ("live", "expected", "match")},
+        _check_parity,
+    ),
+    "open-churn": (
+        {
+            "open_loop": (),
+            "closed_loop": (),
+            "churn": (
+                "plan", "events", "crashes", "joins", "acked_writes",
+                "acked_keys", "lost_acked_keys", "survival_rate",
+                "under_replication_ms",
+            ),
+        },
+        _check_survival,
+    ),
+}
+
+
+def validate_net_report(report: Dict[str, object]) -> None:
+    """Schema-guard a ``BENCH_net.json`` report.
+
+    Every report must name its ``"mode"`` explicitly: a
+    ``"closed-loop"`` parity report must carry a consistent
+    engine-parity ``digest``; an ``"open-churn"`` report (``repro
+    churnstorm``) instead carries the open/closed loop split plus a
+    ``churn`` section whose ``survival_rate`` must agree with its
+    lost-key count.  Raises ``ValueError`` naming the first violation.
+    """
+    # ``mode`` is required: a very-early SIGINT once produced a partial
+    # report without it, which this validator silently took for a
+    # closed-loop run — never default a discriminator.
+    check_report(report, "net", NET_BENCH_SCHEMA, ("mode",))
+    mode = report["mode"]
+    if not isinstance(mode, str) or mode not in _MODES:
+        raise ValueError(f"net report mode {mode!r} is unknown")
+    sections, invariant = _MODES[mode]
+    # Self-hosted runs count the STEP frames their servers forwarded;
+    # an attached run cannot see the servers, so the field is optional.
+    if "forwards_per_op" in report:
+        forwards = report["forwards_per_op"]
+        if (
+            isinstance(forwards, bool)
+            or not isinstance(forwards, (int, float))
+            or not forwards >= 0
+        ):
+            raise ValueError(
+                f"net report forwards_per_op {forwards!r} is not a "
+                "non-negative number"
+            )
+    sections = {**_HEADER_SECTIONS, **sections}
+    check_keys(report, _HEADER_KEYS + tuple(sections), "net report")
+    for section, keys in sections.items():
+        check_section(report[section], keys, f"net report {section!r}")
+    invariant(report)
 
 
 def build_from_recipe(build: Dict[str, object]) -> Network:
@@ -291,6 +270,60 @@ def make_operations(
     return operations
 
 
+def make_open_operations(
+    count: int,
+    seed: int,
+    rate: float,
+    key_universe: int = KEY_UNIVERSE,
+    put_fraction: float = PUT_FRACTION,
+    zipf_s: float = 1.1,
+) -> List[Dict[str, object]]:
+    """A seeded open-loop workload: Poisson arrivals, Zipf keys.
+
+    Inter-arrival times are exponential with ``rate`` ops/s (a Poisson
+    process); each operation is a PUT with probability ``put_fraction``
+    else a GET, over a ``key_universe``-key corpus with Zipf(``zipf_s``)
+    popularity — the head keys take most of the traffic, as real
+    caches see.  ``scheduled`` is the operation's ideal send time in
+    seconds from run start: the open-loop driver fires each operation
+    at that instant no matter how earlier ones fared, and latency is
+    measured **from the scheduled time**, so queueing delay the system
+    causes is charged to the system (no coordinated omission).
+
+    ``source_pick`` is a seeded uniform draw the driver maps onto the
+    *currently alive* node list at fire time — baked names would die
+    with their nodes mid-churn.
+    """
+    if count < 0:
+        raise ValueError("operation count must be non-negative")
+    if rate <= 0:
+        raise ValueError("arrival rate must be positive")
+    if key_universe < 1:
+        raise ValueError("key universe must hold at least one key")
+    if not 0.0 <= put_fraction <= 1.0:
+        raise ValueError("put_fraction must be within [0, 1]")
+    rng = make_rng(seed)
+    sampler = ZipfSampler.from_universe(
+        key_universe, derive_rng(rng, 1), s=zipf_s
+    )
+    operations: List[Dict[str, object]] = []
+    clock = 0.0
+    for index in range(count):
+        clock += rng.expovariate(rate)
+        op = "put" if rng.random() < put_fraction else "get"
+        entry: Dict[str, object] = {
+            "index": index,
+            "op": op,
+            "key": sampler.draw(rng),
+            "scheduled": clock,
+            "source_pick": rng.random(),
+        }
+        if op == "put":
+            entry["value"] = f"value-{index}"
+        operations.append(entry)
+    return operations
+
+
 def expected_results(
     network: Network,
     operations: Sequence[Dict[str, object]],
@@ -353,107 +386,501 @@ def results_digest(results: Sequence[Dict[str, object]]) -> str:
     return hashlib.sha256(repr(canonical).encode()).hexdigest()
 
 
-async def _run_clients(
-    directory: Dict[str, Sequence[object]],
+@dataclasses.dataclass
+class _Run:
+    """What one live run was asked to do: the report header's inputs."""
+
+    mode: str
+    build: Dict[str, object]
+    #: servers booted, or the attached cluster's advertised count.
+    servers: Optional[int]
+    clients: int
+    seed: int
+    #: operations per kind: ``lookup``, ``put`` and ``get``.
+    counts: Mapping[str, int]
+    retry: RetryPolicy = dataclasses.field(default_factory=RetryPolicy)
+    timeout: float = 5.0
+    attached: bool = False
+    latency: Optional[LatencyModel] = None
+    trace_path: Optional[str] = None
+    #: the engine's results, the closed loop's parity baseline.
+    expected: Sequence[Dict[str, object]] = ()
+    replicas: int = 1
+    rate: float = 0.0
+    churn: Optional[ChurnPlan] = None
+
+
+@dataclasses.dataclass
+class _Outcome:
+    """What the driver saw; the default is a run that released nothing."""
+
+    results: List[Dict[str, object]] = dataclasses.field(default_factory=list)
+    #: operations that got a reply or failed for good.
+    attempted: int = 0
+    failures: int = 0
+    errors: List[str] = dataclasses.field(default_factory=list)
+    elapsed_s: float = 0.0
+    retries: int = 0
+    #: ``""`` for a whole run, else ``"mid-run"`` or ``"before-run"``.
+    interrupted: str = ""
+    #: STEP frames the servers forwarded; None when they are not ours.
+    forwards: Optional[int] = None
+    #: acknowledged PUTs per key — the zero-loss ledger.
+    acked: Dict[str, int] = dataclasses.field(default_factory=dict)
+    lost_keys: List[str] = dataclasses.field(default_factory=list)
+    verify_latencies: List[float] = dataclasses.field(default_factory=list)
+    events: List[Dict[str, object]] = dataclasses.field(default_factory=list)
+    trace_lines: Optional[int] = None
+
+
+def _send(client: ClusterClient, op: Dict[str, object], source: str):
+    if op["op"] == "lookup":
+        return client.lookup(op["key"], source, lookup_id=op["index"])
+    if op["op"] == "put":
+        return client.put(op["key"], op["value"], source)
+    return client.get(op["key"], source)
+
+
+async def _drive(
+    run: _Run,
+    network: Network,
     operations: Sequence[Dict[str, object]],
-    clients: int,
-    retry: RetryPolicy,
-    timeout: float,
-    stop: Optional[asyncio.Event] = None,
-) -> Dict[str, object]:
-    """Drive the workload closed-loop; returns results + telemetry.
-
-    ``stop`` (set by the SIGINT handler) makes every worker finish its
-    in-flight operation and drain, so an interrupted run still yields
-    a partial result set instead of nothing.
-    """
-    results: List[Dict[str, object]] = []
-    failures = 0
-    errors: List[str] = []
-    # GETs run as a second phase so each observes its PUT.
-    phases = [
-        [op for op in operations if op["op"] != "get"],
-        [op for op in operations if op["op"] == "get"],
-    ]
+    spec: Optional[Dict[str, object]],
+    stop: asyncio.Event,
+) -> _Outcome:
+    """Serve ``network`` on a private cluster (or attach to ``spec``'s)
+    and run ``operations`` against it under the release rules of the
+    module docstring; ``stop`` ends every release."""
+    cluster: Optional[LocalCluster] = None
+    if spec is None:
+        cluster = LocalCluster(
+            network, servers=run.servers, build=run.build,
+            latency=run.latency, replicas=run.replicas,
+        )
+        await cluster.start()
+        directory = cluster.directory
+    else:
+        directory = {
+            str(name): list(address)
+            for name, address in spec["directory"].items()
+        }
+    out = _Outcome()
     pool = [
-        ClusterClient(directory, retry=retry, timeout=timeout)
-        for _ in range(clients)
+        ClusterClient(directory, retry=run.retry, timeout=run.timeout)
+        for _ in range(run.clients)
     ]
-
-    async def worker(client: ClusterClient, queue) -> None:
-        nonlocal failures
-        while queue:
-            if stop is not None and stop.is_set():
-                return
-            op = queue.popleft()
-            started = time.perf_counter()
-            try:
-                if op["op"] == "lookup":
-                    reply = await client.lookup(
-                        op["key"], op["source"], lookup_id=op["index"]
-                    )
-                elif op["op"] == "put":
-                    reply = await client.put(
-                        op["key"], op["value"], op["source"]
-                    )
-                else:
-                    reply = await client.get(op["key"], op["source"])
-            except ClusterError as exc:
-                failures += 1
-                errors.append(f"op {op['index']} ({op['op']}): {exc}")
-                continue
-            latency_ms = (time.perf_counter() - started) * 1000.0
-            ok = bool(reply.get("success"))
-            if op["op"] == "get" and (
-                not reply.get("found") or reply.get("value") != op["expect"]
-            ):
-                ok = False
-            if not ok:
-                failures += 1
-                errors.append(
-                    f"op {op['index']} ({op['op']}) unsuccessful: "
-                    f"success={reply.get('success')} "
-                    f"found={reply.get('found')}"
-                )
-            result = {
-                "index": op["index"],
-                "op": op["op"],
-                "key": op["key"],
-                "source": op["source"],
-                "path": list(reply.get("path", [])),
-                "hops": int(reply.get("hops", -1)),
-                "timeouts": int(reply.get("timeouts", -1)),
-                "success": bool(reply.get("success")),
-                "rpc": int(reply.get("rpc", 0)),
-                "latency_ms": latency_ms,
-                "trace": reply.get("trace", []),
-            }
-            if "model_ms" in reply:
-                result["model_ms"] = float(reply["model_ms"])
-            results.append(result)
-
+    control = ClusterClient(directory, retry=run.retry, timeout=run.timeout)
+    idle: asyncio.Queue = asyncio.Queue()
+    for client in pool:
+        idle.put_nowait(client)
     started = time.perf_counter()
-    try:
-        for phase_ops in phases:
-            if stop is not None and stop.is_set():
+
+    async def until(instant: float) -> bool:
+        """Sleep to ``instant`` s after the start; False once stopped."""
+        delay = instant - (time.perf_counter() - started)
+        if delay > 0 and not stop.is_set():
+            try:
+                await asyncio.wait_for(stop.wait(), delay)
+            except asyncio.TimeoutError:
+                pass
+        return not stop.is_set()
+
+    def alive_source(pick: float, salt: int) -> str:
+        names = sorted(directory)
+        if not names:
+            raise ClusterError("no live nodes left", code="unknown_node")
+        return names[(int(pick * len(names)) + salt) % len(names)]
+
+    async def run_op(op, client: ClusterClient, released: float) -> None:
+        picks = _PICKS if "source_pick" in op else 1
+        for attempt in range(picks):
+            try:
+                source = op.get("source") or alive_source(
+                    op["source_pick"], attempt
+                )
+                reply = await _send(client, op, source)
                 break
-            if not phase_ops:
-                continue
-            queue = collections.deque(phase_ops)
-            await asyncio.gather(
-                *(worker(client, queue) for client in pool)
+            except ClusterError as exc:
+                if exc.code in _REPICK_CODES and attempt + 1 < picks:
+                    continue
+                out.attempted += 1
+                out.failures += 1
+                out.errors.append(
+                    f"op {op['index']} ({op['op']}): [{exc.code}] {exc}"
+                )
+                return
+        ms = (time.perf_counter() - released) * 1000.0
+        out.attempted += 1
+        # Closed-loop ops are parity-checked, so an unsuccessful route
+        # fails them; an open-loop op under churn only reports it.
+        if (not reply.get("success") and "scheduled" not in op) or (
+            "expect" in op
+            and (not reply.get("found") or reply.get("value") != op["expect"])
+        ):
+            out.failures += 1
+            out.errors.append(
+                f"op {op['index']} ({op['op']}) unsuccessful: "
+                f"success={reply.get('success')} found={reply.get('found')}"
             )
+        if op["op"] == "put" and reply.get("stored"):
+            out.acked[op["key"]] = out.acked.get(op["key"], 0) + 1
+        # The server's reply already carries the op, key, path, hops,
+        # timeouts, success, trace, rpc id and (with a model) model_ms.
+        out.results.append(
+            dict(reply, index=op["index"], source=source, latency_ms=ms)
+        )
+
+    async def release() -> None:
+        tasks: List[asyncio.Task] = []
+        puts: List[asyncio.Task] = []
+        for op in operations:
+            if "scheduled" in op:
+                if not await until(op["scheduled"]):
+                    break
+                client = pool[op["index"] % len(pool)]
+                released = started + op["scheduled"]
+            else:
+                if op["op"] == "get" and puts:
+                    await asyncio.gather(*puts)
+                    puts.clear()
+                client = await idle.get()
+                if stop.is_set():
+                    break
+                released = time.perf_counter()
+            task = asyncio.create_task(run_op(op, client, released))
+            if "scheduled" not in op:
+                task.add_done_callback(
+                    lambda _, client=client: idle.put_nowait(client)
+                )
+            if op["op"] == "put":
+                puts.append(task)
+            tasks.append(task)
+        await asyncio.gather(*tasks)
+
+    async def storm(plan: ChurnPlan) -> None:
+        duration = operations[-1]["scheduled"] if operations else 1.0
+        #: victim name -> the server that hosted it when it was crashed.
+        homes: Dict[str, List[object]] = {}
+        for event in plan.schedule(sorted(directory), duration):
+            if not await until(event.time):
+                return
+            entry: Dict[str, object] = {
+                "scheduled_s": event.time,
+                "action": event.action,
+                "node": event.node,
+            }
+            try:
+                if event.action == "crash":
+                    # An unknown victim fails the CRASH as ``unknown_node``.
+                    home = directory.get(event.node)
+                    reply = await control.crash(event.node)
+                    homes[event.node] = entry["server"] = list(home)
+                    entry.update({key: reply.get(key) for key in _CRASH_KEYS})
+                else:
+                    # Rejoin through a live name on the victim's old
+                    # server.  On a complete overlay the victim's id is
+                    # the only free one when its rejoin fires, so the
+                    # join takes it and lands back on that server's arc.
+                    home = homes.get(event.node)
+                    names = sorted(directory)
+                    via = next(
+                        (n for n in names if list(directory[n]) == home),
+                        names[0],
+                    )
+                    reply = await control.join(event.node, via)
+                    entry.update(
+                        server=list(directory[event.node]),
+                        repushed_pairs=reply.get("repushed_pairs"),
+                    )
+            except ClusterError as exc:
+                entry["skipped"] = f"[{exc.code}] {exc}"
+            out.events.append(entry)
+
+    try:
+        if run.churn is None:
+            await release()
+        else:
+            await asyncio.gather(release(), storm(run.churn))
+        out.elapsed_s = time.perf_counter() - started
+        if cluster is not None:
+            # Counted before the sweep: the figure is per released op.
+            out.forwards = sum(s.steps_forwarded for s in cluster.services)
+        if run.churn is not None:
+            # Every acknowledged PUT must be readable (directly or via
+            # read-repair) — the zero-loss acceptance bar.
+            for index, key in enumerate(sorted(out.acked)):
+                sent = time.perf_counter()
+                try:
+                    reply = await control.get(key, alive_source(0.0, index))
+                except ClusterError as exc:
+                    out.lost_keys.append(key)
+                    out.errors.append(f"verify {key}: [{exc.code}] {exc}")
+                    continue
+                out.verify_latencies.append((time.perf_counter() - sent) * 1e3)
+                if not reply.get("found"):
+                    out.lost_keys.append(key)
     finally:
-        for client in pool:
+        for client in (*pool, control):
             await client.close()
-    elapsed = time.perf_counter() - started
-    return {
-        "results": results,
-        "failures": failures,
-        "errors": errors,
+        if cluster is not None:
+            await cluster.stop()
+    out.retries = sum(client.retries for client in (*pool, control))
+    out.interrupted = "mid-run" if stop.is_set() else ""
+    if run.trace_path is not None:
+        out.trace_lines = _write_trace(run.trace_path, out.results)
+    return out
+
+
+def _execute(run: _Run, prepare, spec=None) -> Dict[str, object]:
+    """``prepare()`` the ``(network, operations)``, drive them, report;
+    a SIGINT during ``prepare`` reports the empty outcome."""
+
+    async def main(network, operations) -> _Outcome:
+        # A SIGINT sets ``stop`` instead of tearing the loop down, so
+        # the run flushes a partial report on the way out.  Where no
+        # handler can be installed (non-main thread, non-unix loop) it
+        # keeps the default KeyboardInterrupt behaviour.
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        with contextlib.suppress(*_NO_SIGNALS):
+            loop.add_signal_handler(signal.SIGINT, stop.set)
+        try:
+            return await _drive(run, network, operations, spec, stop)
+        finally:
+            with contextlib.suppress(*_NO_SIGNALS):
+                loop.remove_signal_handler(signal.SIGINT)
+
+    try:
+        outcome = asyncio.run(main(*prepare()))
+    except KeyboardInterrupt:
+        outcome = _Outcome(interrupted="before-run")
+    return _report(run, outcome)
+
+
+def _report(run: _Run, outcome: _Outcome) -> Dict[str, object]:
+    """The one ``BENCH_net.json`` builder: the header every mode shares,
+    then the mode's own sections."""
+    results = outcome.results
+    total = sum(run.counts.values())
+    elapsed = outcome.elapsed_s
+    throughput = len(results) / elapsed if elapsed > 0 else 0.0
+    report: Dict[str, object] = {
+        "schema": NET_BENCH_SCHEMA,
+        "mode": run.mode,
+        "complete": outcome.attempted == total and not outcome.interrupted,
+        "build": dict(run.build),
+        "servers": run.servers,
+        "clients": run.clients,
+        "seed": run.seed,
+        "retry": dataclasses.asdict(run.retry),
+        "timeout_s": run.timeout,
+        "ops": {
+            "total": total,
+            "completed": len(results),
+            "lookups": run.counts["lookup"],
+            "puts": run.counts["put"],
+            "gets": run.counts["get"],
+            "failures": outcome.failures,
+            "retries": outcome.retries,
+        },
+        "latency_ms": _latency_block([r["latency_ms"] for r in results]),
+        "throughput_ops_per_s": throughput,
         "elapsed_s": elapsed,
-        "retries": sum(client.retries for client in pool),
-        "interrupted": stop is not None and stop.is_set(),
+        "errors": outcome.errors[:20],
+    }
+    if outcome.interrupted:
+        report["interrupted"] = outcome.interrupted
+    if outcome.forwards is not None:
+        report["forwards_per_op"] = (
+            outcome.forwards / len(results) if results else 0.0
+        )
+    if run.mode == "closed-loop":
+        live, expected = results_digest(results), results_digest(run.expected)
+        report["attached"] = run.attached
+        report["digest"] = {
+            "live": live,
+            "expected": expected,
+            "match": len(results) == total and live == expected,
+        }
+        if run.latency is not None:
+            modeled = {r["index"]: r["model_ms"] for r in run.expected}
+            timed = [r for r in results if "model_ms" in r]
+            report["model_ms"] = {
+                "config": run.latency.to_config(),
+                **_latency_block([r["model_ms"] for r in timed]),
+                #: live-vs-engine modeled-total parity: the worst gap.
+                "max_abs_diff_ms": max(
+                    (abs(r["model_ms"] - modeled[r["index"]]) for r in timed),
+                    default=0.0,
+                ),
+            }
+        if outcome.trace_lines is not None:
+            report["trace"] = {
+                "path": run.trace_path,
+                "lines": outcome.trace_lines,
+            }
+        return report
+
+    def by_op(*kinds: str) -> Dict[str, float]:
+        return _latency_block(
+            [r["latency_ms"] for r in results if r["op"] in kinds]
+        )
+
+    events = outcome.events
+    windows = [
+        float(e["repair_ms"])
+        for e in events
+        if e["action"] == "crash" and "repair_ms" in e
+    ]
+    acked, lost = outcome.acked, outcome.lost_keys
+    report["replicas"] = run.replicas
+    report["open_loop"] = {
+        "rate_target_ops_per_s": run.rate,
+        "rate_achieved_ops_per_s": throughput,
+        "duration_s": elapsed,
+        "key_universe": KEY_UNIVERSE,
+        "put_fraction": PUT_FRACTION,
+        "latency_ms": {
+            "all": by_op("put", "get"),
+            "put": by_op("put"),
+            "get": by_op("get"),
+        },
+    }
+    report["closed_loop"] = {
+        "verification_gets": len(acked),
+        "latency_ms": _latency_block(outcome.verify_latencies),
+    }
+    report["churn"] = {
+        "plan": dataclasses.asdict(run.churn),
+        "events": events,
+        "crashes": len(windows),
+        "joins": sum(
+            1 for e in events if e["action"] == "join" and "skipped" not in e
+        ),
+        "skipped": sum(1 for e in events if "skipped" in e),
+        "acked_writes": sum(acked.values()),
+        "acked_keys": len(acked),
+        "lost_acked_keys": len(lost),
+        "lost_keys": lost[:20],
+        "survival_rate": 1.0 - len(lost) / len(acked) if acked else 1.0,
+        "under_replication_ms": {
+            "mean": mean(windows),
+            "max": max(windows, default=0.0),
+        },
+    }
+    return report
+
+
+def partial_report(
+    build: Dict[str, object], servers: int, clients: int, lookups: int,
+    puts: int, seed: int,
+) -> Dict[str, object]:
+    """The report of a loadgen run interrupted before any operation was
+    released: :func:`_report` of the empty outcome, schema-valid and
+    ``"mode"``-tagged like every other report."""
+    counts = {"lookup": lookups, "put": puts, "get": puts}
+    run = _Run("closed-loop", build, servers, clients, seed, counts)
+    return _report(run, _Outcome(interrupted="before-run"))
+
+
+def run_loadgen(
+    build: Dict[str, object],
+    servers: int = 4,
+    clients: int = 64,
+    lookups: int = 256,
+    puts: int = 32,
+    seed: int = 42,
+    retry: Optional[RetryPolicy] = None,
+    timeout: float = 5.0,
+    spec: Optional[Dict[str, object]] = None,
+    trace_path: Optional[str] = None,
+    latency: Optional[LatencyModel] = None,
+) -> Dict[str, object]:
+    """Run one closed-loop load-generation session; return its report.
+
+    ``build`` is the overlay recipe (see :func:`build_from_recipe`).
+    With ``spec`` (a loaded cluster-spec document) the generator
+    *attaches* to the already-running cluster it describes — the local
+    build then only computes the expected routes; without it a private
+    :class:`LocalCluster` of ``servers`` servers is booted and torn
+    down around the run.  ``latency`` attaches a
+    :class:`~repro.sim.latency.LatencyModel`: the servers sleep each
+    hop's modeled delay and the report gains a ``model_ms`` section
+    comparing live modeled totals against the engine's predictions.
+    """
+    if latency is None and spec is not None and spec.get("latency"):
+        # Attach mode: sleep-by-model clusters advertise their model in
+        # the spec; adopt it so the expected totals match the servers'.
+        latency = LatencyModel.from_config(spec["latency"])
+    run = _Run(
+        "closed-loop",
+        build,
+        servers if spec is None else spec.get("servers"),
+        max(1, clients),
+        seed,
+        {"lookup": lookups, "put": puts, "get": puts},
+        retry=retry if retry is not None else RetryPolicy(),
+        timeout=timeout,
+        attached=spec is not None,
+        latency=latency,
+        trace_path=trace_path,
+    )
+
+    def prepare():
+        network = build_from_recipe(build)
+        operations = make_operations(network, lookups, puts, seed)
+        run.expected = expected_results(network, operations, latency=latency)
+        return network, operations
+
+    return _execute(run, prepare, spec)
+
+
+def run_churnstorm(
+    build: Dict[str, object],
+    servers: int = 4,
+    replicas: int = 2,
+    rate: float = 200.0,
+    operations: int = 400,
+    churn: Optional[ChurnPlan] = None,
+    seed: int = 42,
+    retry: Optional[RetryPolicy] = None,
+    timeout: float = 5.0,
+    clients: int = 8,
+) -> Dict[str, object]:
+    """Run one open-loop churn scenario and return the bench report.
+
+    Boots a private :class:`LocalCluster` with ``replicas``-way
+    leaf-set replication, drives ``operations`` Poisson-scheduled
+    PUT/GET operations at ``rate`` ops/s while the ``churn`` plan
+    kills and rejoins virtual nodes mid-run, then reads back every
+    acknowledged key.  The ``churn`` report section carries the
+    survival rate (1.0 = zero acknowledged writes lost) and the
+    under-replication windows of each crash.
+    """
+    schedule = make_open_operations(operations, seed, rate)
+    run = _Run(
+        "open-churn",
+        build,
+        servers,
+        max(1, clients),
+        seed,
+        collections.Counter(op["op"] for op in schedule),
+        retry=retry if retry is not None else RetryPolicy(),
+        timeout=timeout,
+        replicas=replicas,
+        rate=rate,
+        churn=churn if churn is not None else ChurnPlan(seed=seed),
+    )
+    return _execute(run, lambda: (build_from_recipe(build), schedule))
+
+
+def _latency_block(latencies: Sequence[float]) -> Dict[str, float]:
+    return {
+        "mean": mean(latencies),
+        "p50": percentile(latencies, 50.0),
+        "p95": percentile(latencies, 95.0),
+        "p99": percentile(latencies, 99.0),
+        "max": max(latencies, default=0.0),
     }
 
 
@@ -461,7 +888,8 @@ def _write_trace(
     trace_path: str, results: Sequence[Dict[str, object]]
 ) -> int:
     """Live-trace JSONL: the simulated ``--trace`` hop schema plus the
-    per-RPC fields ``rpc`` and ``latency_ms``; returns lines written."""
+    per-RPC fields ``rpc`` (the winning attempt's id — what marks a line
+    as live) and ``latency_ms``; returns the lines written."""
     lines = 0
     with open(trace_path, "w", encoding="utf-8") as stream:
         for result in sorted(results, key=lambda r: r["index"]):
@@ -481,641 +909,3 @@ def _write_trace(
                 stream.write("\n")
                 lines += 1
     return lines
-
-
-async def _loadgen(
-    build: Dict[str, object],
-    servers: int,
-    clients: int,
-    lookups: int,
-    puts: int,
-    seed: int,
-    retry: RetryPolicy,
-    timeout: float,
-    spec: Optional[Dict[str, object]],
-    trace_path: Optional[str],
-    latency: Optional[LatencyModel],
-) -> Dict[str, object]:
-    network = build_from_recipe(build)
-    operations = make_operations(network, lookups, puts, seed)
-    if latency is None and spec is not None and spec.get("latency"):
-        # Attach mode: sleep-by-model clusters advertise their model in
-        # the spec; adopt it so the expected totals match the servers'.
-        latency = LatencyModel.from_config(spec["latency"])
-    expected = expected_results(network, operations, latency=latency)
-
-    cluster: Optional[LocalCluster] = None
-    if spec is None:
-        cluster = LocalCluster(
-            network, servers=servers, build=build, latency=latency
-        )
-        await cluster.start()
-        directory = cluster.directory
-    else:
-        directory = {
-            str(name): list(address)
-            for name, address in spec["directory"].items()
-        }
-    # A SIGINT sets ``stop`` instead of tearing the loop down, so the
-    # run flushes a partial report (marked incomplete) on the way out.
-    stop = asyncio.Event()
-    restore_sigint = _install_sigint(stop)
-    try:
-        outcome = await _run_clients(
-            directory, operations, clients, retry, timeout, stop
-        )
-    finally:
-        restore_sigint()
-        if cluster is not None:
-            await cluster.stop()
-
-    results = outcome["results"]
-    live_digest = results_digest(results)
-    expected_digest = results_digest(expected)
-    complete = len(results) == len(operations)
-    latencies = [result["latency_ms"] for result in results]
-    elapsed = outcome["elapsed_s"]
-    trace_lines = (
-        _write_trace(trace_path, results) if trace_path is not None else 0
-    )
-    report: Dict[str, object] = {
-        "schema": NET_BENCH_SCHEMA,
-        "mode": "closed-loop",
-        "complete": complete and not outcome["interrupted"],
-        "build": dict(build),
-        "servers": servers if cluster is not None else spec.get("servers"),
-        "attached": cluster is None,
-        "clients": clients,
-        "seed": seed,
-        "retry": {
-            "budget": retry.budget,
-            "base_delay": retry.base_delay,
-            "multiplier": retry.multiplier,
-            "max_delay": retry.max_delay,
-        },
-        "timeout_s": timeout,
-        "ops": {
-            "total": len(operations),
-            "completed": len(results),
-            "lookups": lookups,
-            "puts": puts,
-            "gets": puts,
-            "failures": outcome["failures"],
-            "retries": outcome["retries"],
-        },
-        "latency_ms": {
-            "mean": mean(latencies),
-            "p50": percentile(latencies, 50.0),
-            "p95": percentile(latencies, 95.0),
-            "p99": percentile(latencies, 99.0),
-            "max": max(latencies) if latencies else 0.0,
-        },
-        "throughput_ops_per_s": (
-            len(results) / elapsed if elapsed > 0 else 0.0
-        ),
-        "elapsed_s": elapsed,
-        "digest": {
-            "live": live_digest,
-            "expected": expected_digest,
-            "match": complete and live_digest == expected_digest,
-        },
-        "errors": outcome["errors"][:20],
-    }
-    if latency is not None:
-        live_model = [r["model_ms"] for r in results if "model_ms" in r]
-        expected_model = {
-            r["index"]: float(r.get("model_ms", 0.0)) for r in expected
-        }
-        diffs = [
-            abs(r["model_ms"] - expected_model.get(r["index"], 0.0))
-            for r in results
-            if "model_ms" in r
-        ]
-        report["model_ms"] = {
-            "config": latency.to_config(),
-            "mean": mean(live_model),
-            "p50": percentile(live_model, 50.0),
-            "p95": percentile(live_model, 95.0),
-            "p99": percentile(live_model, 99.0),
-            "max": max(live_model) if live_model else 0.0,
-            #: live-vs-engine modeled-total parity: the worst per-op gap.
-            "max_abs_diff_ms": max(diffs) if diffs else 0.0,
-        }
-    if cluster is not None:
-        report["forwards_per_op"] = _forwards_per_op(cluster, len(results))
-    if trace_path is not None:
-        report["trace"] = {"path": trace_path, "lines": trace_lines}
-    return report
-
-
-def _forwards_per_op(cluster: LocalCluster, completed: int) -> float:
-    """STEP continuations the cluster's servers handed to one another,
-    per completed operation: how often a route left a server's arc."""
-    forwards = sum(service.steps_forwarded for service in cluster.services)
-    return forwards / completed if completed else 0.0
-
-
-def _install_sigint(stop: asyncio.Event):
-    """Route SIGINT into ``stop`` for the duration of a run.
-
-    Returns a zero-argument restore callable.  Where signal handlers
-    cannot be installed (non-main thread, non-unix loop) the run keeps
-    the default KeyboardInterrupt behaviour.
-    """
-    loop = asyncio.get_running_loop()
-    try:
-        loop.add_signal_handler(signal.SIGINT, stop.set)
-    except (NotImplementedError, ValueError, RuntimeError):
-        return lambda: None
-
-    def restore() -> None:
-        try:
-            loop.remove_signal_handler(signal.SIGINT)
-        except (NotImplementedError, ValueError, RuntimeError):
-            pass
-
-    return restore
-
-
-def partial_report(
-    build: Dict[str, object],
-    servers: int,
-    clients: int,
-    lookups: int,
-    puts: int,
-    seed: int,
-) -> Dict[str, object]:
-    """The schema-valid empty report of a run interrupted before any
-    operation completed.
-
-    A SIGINT that lands *before* the run installs its signal handler
-    (while the overlay builds or the cluster boots) aborts with no
-    results at all.  The report it leaves behind must still satisfy
-    :func:`validate_net_report` — in
-    particular it must carry ``"mode"``: the validator once defaulted a
-    missing mode to ``"closed-loop"``, which let early-interrupt
-    reports masquerade as complete-schema ones.
-    """
-    total = lookups + 2 * puts
-    empty_digest = results_digest([])
-    zeros = {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-    return {
-        "schema": NET_BENCH_SCHEMA,
-        "mode": "closed-loop",
-        "complete": False,
-        "interrupted": "before-run",
-        "build": dict(build),
-        "servers": servers,
-        "clients": clients,
-        "seed": seed,
-        "ops": {
-            "total": total,
-            "completed": 0,
-            "lookups": lookups,
-            "puts": puts,
-            "gets": puts,
-            "failures": 0,
-            "retries": 0,
-        },
-        "latency_ms": dict(zeros),
-        "throughput_ops_per_s": 0.0,
-        "elapsed_s": 0.0,
-        "digest": {
-            "live": empty_digest,
-            "expected": empty_digest,
-            "match": total == 0,
-        },
-        "errors": [],
-    }
-
-
-def run_loadgen(
-    build: Dict[str, object],
-    servers: int = 4,
-    clients: int = 64,
-    lookups: int = 256,
-    puts: int = 32,
-    seed: int = 42,
-    retry: Optional[RetryPolicy] = None,
-    timeout: float = 5.0,
-    spec: Optional[Dict[str, object]] = None,
-    trace_path: Optional[str] = None,
-    latency: Optional[LatencyModel] = None,
-) -> Dict[str, object]:
-    """Run one load-generation session and return the bench report.
-
-    ``build`` is the overlay recipe (see :func:`build_from_recipe`).
-    With ``spec`` (a loaded cluster-spec document) the generator
-    *attaches* to the already-running cluster it describes — the local
-    build then only computes the expected routes; without it a private
-    :class:`LocalCluster` of ``servers`` servers is booted and torn
-    down around the run.  ``latency`` attaches a
-    :class:`~repro.sim.latency.LatencyModel`: the servers sleep each
-    hop's modeled delay and the report gains a ``model_ms`` section
-    comparing live modeled totals against the engine's predictions.
-
-    A SIGINT that arrives before the run's own handler is installed
-    (e.g. during cluster boot) still returns a schema-valid partial
-    report (:func:`partial_report`) instead of propagating
-    ``KeyboardInterrupt`` with nothing to show.
-    """
-    try:
-        return asyncio.run(
-            _loadgen(
-                build,
-                servers,
-                clients,
-                lookups,
-                puts,
-                seed,
-                retry if retry is not None else RetryPolicy(),
-                timeout,
-                spec,
-                trace_path,
-                latency,
-            )
-        )
-    except KeyboardInterrupt:
-        return partial_report(build, servers, clients, lookups, puts, seed)
-
-
-# ----------------------------------------------------------------------
-# the open-loop churn harness (S24)
-# ----------------------------------------------------------------------
-
-def make_open_operations(
-    count: int,
-    seed: int,
-    rate: float,
-    key_universe: int = 64,
-    put_fraction: float = 0.5,
-    zipf_s: float = 1.1,
-) -> List[Dict[str, object]]:
-    """A seeded open-loop workload: Poisson arrivals, Zipf keys.
-
-    Inter-arrival times are exponential with ``rate`` ops/s (a Poisson
-    process); each operation is a PUT with probability ``put_fraction``
-    else a GET, over a ``key_universe``-key corpus with Zipf(``zipf_s``)
-    popularity — the head keys take most of the traffic, as real
-    caches see.  ``scheduled`` is the operation's ideal send time in
-    seconds from run start: the open-loop driver fires each operation
-    at that instant no matter how earlier ones fared, and latency is
-    measured **from the scheduled time**, so queueing delay the system
-    causes is charged to the system (no coordinated omission).
-
-    ``source_pick`` is a seeded uniform draw the driver maps onto the
-    *currently alive* node list at fire time — baked names would die
-    with their nodes mid-churn.
-    """
-    if count < 0:
-        raise ValueError("operation count must be non-negative")
-    if rate <= 0:
-        raise ValueError("arrival rate must be positive")
-    if key_universe < 1:
-        raise ValueError("key universe must hold at least one key")
-    if not 0.0 <= put_fraction <= 1.0:
-        raise ValueError("put_fraction must be within [0, 1]")
-    rng = make_rng(seed)
-    sampler = ZipfSampler.from_universe(
-        key_universe, derive_rng(rng, 1), s=zipf_s
-    )
-    operations: List[Dict[str, object]] = []
-    clock = 0.0
-    for index in range(count):
-        clock += rng.expovariate(rate)
-        op = "put" if rng.random() < put_fraction else "get"
-        entry: Dict[str, object] = {
-            "index": index,
-            "op": op,
-            "key": sampler.draw(rng),
-            "scheduled": clock,
-            "source_pick": rng.random(),
-        }
-        if op == "put":
-            entry["value"] = f"value-{index}"
-        operations.append(entry)
-    return operations
-
-
-def _latency_block(latencies: Sequence[float]) -> Dict[str, float]:
-    return {
-        "mean": mean(latencies),
-        "p50": percentile(latencies, 50.0),
-        "p95": percentile(latencies, 95.0),
-        "p99": percentile(latencies, 99.0),
-        "max": max(latencies) if latencies else 0.0,
-    }
-
-
-async def _churnstorm(
-    build: Dict[str, object],
-    servers: int,
-    replicas: int,
-    rate: float,
-    count: int,
-    churn: ChurnPlan,
-    seed: int,
-    retry: RetryPolicy,
-    timeout: float,
-    clients: int,
-    key_universe: int,
-    put_fraction: float,
-) -> Dict[str, object]:
-    network = build_from_recipe(build)
-    operations = make_open_operations(
-        count, seed, rate, key_universe, put_fraction
-    )
-    duration = operations[-1]["scheduled"] if operations else 1.0
-    cluster = LocalCluster(
-        network, servers=servers, build=build, replicas=replicas
-    )
-    await cluster.start()
-    directory = cluster.directory
-    events = churn.schedule(sorted(directory), duration)
-
-    pool = [
-        ClusterClient(directory, retry=retry, timeout=timeout)
-        for _ in range(max(1, clients))
-    ]
-    control = ClusterClient(directory, retry=retry, timeout=timeout)
-    results: List[Dict[str, object]] = []
-    churn_log: List[Dict[str, object]] = []
-    errors: List[str] = []
-    failures = 0
-    #: keys whose PUT the cluster acknowledged — the zero-loss ledger.
-    acked: Dict[str, int] = {}
-
-    started = time.perf_counter()
-
-    def now() -> float:
-        return time.perf_counter() - started
-
-    def alive_source(pick: float, salt: int = 0) -> str:
-        names = sorted(directory)
-        if not names:
-            raise ClusterError("no live nodes left", code="unknown_node")
-        return names[(int(pick * len(names)) + salt) % len(names)]
-
-    async def run_op(op: Dict[str, object], client: ClusterClient) -> None:
-        nonlocal failures
-        for attempt in range(4):
-            source = alive_source(op["source_pick"], attempt)
-            try:
-                if op["op"] == "put":
-                    reply = await client.put(op["key"], op["value"], source)
-                else:
-                    reply = await client.get(op["key"], source)
-            except ClusterError as exc:
-                # A dead source or a mid-repair route: pick another
-                # source and go again; anything else is a failure.
-                if exc.code in ("unknown_node", "not_hosted") and attempt < 3:
-                    continue
-                failures += 1
-                errors.append(
-                    f"op {op['index']} ({op['op']}): [{exc.code}] {exc}"
-                )
-                return
-            break
-        latency_ms = (now() - op["scheduled"]) * 1000.0
-        record = {
-            "index": op["index"],
-            "op": op["op"],
-            "key": op["key"],
-            "source": source,
-            "scheduled_s": op["scheduled"],
-            "latency_ms": latency_ms,
-            "success": bool(reply.get("success")),
-            "hops": int(reply.get("hops", -1)),
-        }
-        if op["op"] == "put":
-            stored = bool(reply.get("stored"))
-            record["acked"] = stored
-            record["replicas"] = int(reply.get("replicas", 1))
-            if stored:
-                acked[op["key"]] = acked.get(op["key"], 0) + 1
-        else:
-            record["found"] = bool(reply.get("found"))
-        results.append(record)
-
-    async def dispatch() -> None:
-        tasks = []
-        for index, op in enumerate(operations):
-            delay = op["scheduled"] - now()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            tasks.append(
-                asyncio.create_task(run_op(op, pool[index % len(pool)]))
-            )
-        if tasks:
-            await asyncio.gather(*tasks)
-
-    #: victim name -> the server that hosted it when it was crashed.
-    homes: Dict[str, List[object]] = {}
-
-    async def drive_churn() -> None:
-        for event in events:
-            delay = event.time - now()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            entry: Dict[str, object] = {
-                "scheduled_s": event.time,
-                "action": event.action,
-                "node": event.node,
-            }
-            try:
-                if event.action == "crash":
-                    if event.node not in directory:
-                        entry["skipped"] = "not in directory"
-                    else:
-                        home = list(directory[event.node])
-                        reply = await control.crash(event.node)
-                        homes[event.node] = home
-                        entry.update(
-                            server=home,
-                            lost_pairs=reply.get("lost_pairs"),
-                            route_repairs=reply.get("route_repairs"),
-                            repushed_pairs=reply.get("repushed_pairs"),
-                            repair_ms=reply.get("repair_ms"),
-                        )
-                else:
-                    # Rejoin through a live name on the victim's old
-                    # server.  On a complete overlay the victim's id is
-                    # the only free one when its rejoin fires, so the
-                    # join takes it and lands back on that server's arc.
-                    home = homes.get(event.node)
-                    names = sorted(directory)
-                    via = next(
-                        (n for n in names if list(directory[n]) == home),
-                        names[0],
-                    )
-                    reply = await control.join(event.node, via)
-                    entry.update(
-                        server=list(directory[event.node]),
-                        repushed_pairs=reply.get("repushed_pairs"),
-                    )
-            except ClusterError as exc:
-                entry["skipped"] = f"[{exc.code}] {exc}"
-            churn_log.append(entry)
-
-    try:
-        await asyncio.gather(dispatch(), drive_churn())
-        open_elapsed = now()
-        # Counted before the verification sweep: the figure is per
-        # open-loop operation, under the churn that moved the arcs.
-        forwards_per_op = _forwards_per_op(cluster, len(results))
-
-        # ----------------------------------------------------------
-        # verification sweep: every acknowledged PUT must be readable
-        # (directly or via read-repair) — the zero-loss acceptance bar.
-        # ----------------------------------------------------------
-        verify_latencies: List[float] = []
-        lost_keys: List[str] = []
-        for index, key in enumerate(sorted(acked)):
-            t0 = time.perf_counter()
-            try:
-                reply = await control.get(key, alive_source(0.0, index))
-            except ClusterError as exc:
-                lost_keys.append(key)
-                errors.append(f"verify {key}: [{exc.code}] {exc}")
-                continue
-            verify_latencies.append((time.perf_counter() - t0) * 1000.0)
-            if not reply.get("found"):
-                lost_keys.append(key)
-    finally:
-        await control.close()
-        for client in pool:
-            await client.close()
-        await cluster.stop()
-
-    open_latencies = [r["latency_ms"] for r in results]
-    put_latencies = [r["latency_ms"] for r in results if r["op"] == "put"]
-    get_latencies = [r["latency_ms"] for r in results if r["op"] == "get"]
-    crashes = [e for e in churn_log if e["action"] == "crash"]
-    executed = [e for e in crashes if "repair_ms" in e]
-    repair_windows = [float(e["repair_ms"]) for e in executed]
-    acked_writes = sum(acked.values())
-    puts = sum(1 for op in operations if op["op"] == "put")
-    report: Dict[str, object] = {
-        "schema": NET_BENCH_SCHEMA,
-        "mode": "open-churn",
-        "complete": len(results) + failures == len(operations),
-        "build": dict(build),
-        "servers": servers,
-        "replicas": replicas,
-        "clients": len(pool),
-        "seed": seed,
-        "retry": {
-            "budget": retry.budget,
-            "base_delay": retry.base_delay,
-            "multiplier": retry.multiplier,
-            "max_delay": retry.max_delay,
-        },
-        "timeout_s": timeout,
-        "ops": {
-            "total": len(operations),
-            "completed": len(results),
-            "lookups": 0,
-            "puts": puts,
-            "gets": len(operations) - puts,
-            "failures": failures,
-            "retries": (
-                sum(client.retries for client in pool) + control.retries
-            ),
-        },
-        "latency_ms": _latency_block(open_latencies),
-        "open_loop": {
-            "rate_target_ops_per_s": rate,
-            "rate_achieved_ops_per_s": (
-                len(results) / open_elapsed if open_elapsed > 0 else 0.0
-            ),
-            "duration_s": open_elapsed,
-            "key_universe": key_universe,
-            "put_fraction": put_fraction,
-            "latency_ms": {
-                "all": _latency_block(open_latencies),
-                "put": _latency_block(put_latencies),
-                "get": _latency_block(get_latencies),
-            },
-        },
-        "closed_loop": {
-            "verification_gets": len(acked),
-            "latency_ms": _latency_block(verify_latencies),
-        },
-        "throughput_ops_per_s": (
-            len(results) / open_elapsed if open_elapsed > 0 else 0.0
-        ),
-        "elapsed_s": open_elapsed,
-        "forwards_per_op": forwards_per_op,
-        "churn": {
-            "plan": {
-                "seed": churn.seed,
-                "kills": churn.kills,
-                "rejoin": churn.rejoin,
-                "start": churn.start,
-                "end": churn.end,
-            },
-            "events": churn_log,
-            "crashes": len(executed),
-            "joins": sum(
-                1
-                for e in churn_log
-                if e["action"] == "join" and "skipped" not in e
-            ),
-            "skipped": sum(1 for e in churn_log if "skipped" in e),
-            "acked_writes": acked_writes,
-            "acked_keys": len(acked),
-            "lost_acked_keys": len(lost_keys),
-            "lost_keys": lost_keys[:20],
-            "survival_rate": (
-                1.0 - len(lost_keys) / len(acked) if acked else 1.0
-            ),
-            "under_replication_ms": {
-                "mean": mean(repair_windows),
-                "max": max(repair_windows) if repair_windows else 0.0,
-            },
-        },
-        "errors": errors[:20],
-    }
-    return report
-
-
-def run_churnstorm(
-    build: Dict[str, object],
-    servers: int = 4,
-    replicas: int = 2,
-    rate: float = 200.0,
-    operations: int = 400,
-    churn: Optional[ChurnPlan] = None,
-    seed: int = 42,
-    retry: Optional[RetryPolicy] = None,
-    timeout: float = 5.0,
-    clients: int = 8,
-    key_universe: int = 64,
-    put_fraction: float = 0.5,
-) -> Dict[str, object]:
-    """Run one open-loop churn scenario and return the bench report.
-
-    Boots a private :class:`LocalCluster` with ``replicas``-way
-    leaf-set replication, drives ``operations`` Poisson-scheduled
-    PUT/GET operations at ``rate`` ops/s while the ``churn`` plan
-    kills and rejoins virtual nodes mid-run, then reads back every
-    acknowledged key.  The ``churn`` report section carries the
-    survival rate (1.0 = zero acknowledged writes lost) and the
-    under-replication windows of each crash.
-    """
-    return asyncio.run(
-        _churnstorm(
-            build,
-            servers,
-            replicas,
-            rate,
-            operations,
-            churn if churn is not None else ChurnPlan(seed=seed),
-            seed,
-            retry if retry is not None else RetryPolicy(),
-            timeout,
-            clients,
-            key_universe,
-            put_fraction,
-        )
-    )

@@ -355,6 +355,15 @@ class NodeService:
     def _is_local(self, name: str) -> bool:
         return name in self._hosted_set
 
+    def _hosted(self, name: str) -> str:
+        """``name``, which must be one of this server's nodes."""
+        if not self._is_local(name):
+            raise ServiceError(
+                f"node {name!r} is not hosted by this server",
+                code="not_hosted",
+            )
+        return name
+
     # ------------------------------------------------------------------
     # the recursive lookup driver
     # ------------------------------------------------------------------
@@ -365,12 +374,9 @@ class NodeService:
         key = payload.get("key")
         if not isinstance(key, str):
             raise ServiceError("operation requires a string 'key'")
-        source_name = str(payload.get("source") or self.hosted[0])
-        if not self._is_local(source_name):
-            raise ServiceError(
-                f"node {source_name!r} is not hosted by this server",
-                code="not_hosted",
-            )
+        source_name = self._hosted(
+            str(payload.get("source") or self.hosted[0])
+        )
         source = self._resolve(source_name)
         network = self.network
         network.fault_detection = False
@@ -454,89 +460,60 @@ class NodeService:
         latency = self.latency
         total_ms = float(continuation.get("model_ms", 0.0))
 
-        if continuation["stage"] == "route":
-            while hops < limit:
+        stage = continuation["stage"]
+        while stage in ("route", "finish"):
+            if stage == "route" and hops < limit:
                 decision, advance_timeouts = step_route(
                     network, current, key_id, state
                 )
                 timeouts += advance_timeouts + decision.timeouts
-                node = decision.node
-                if node is None:
+                if decision.node is None:
                     failed = decision.failed
+                    stage = "finish"
+                    continue
+                after = "finish" if decision.terminal else "route"
+            else:
+                # The walk has stopped at ``current``; a protocol may
+                # owe one final delivery hop (Cycloid's best-observed
+                # handoff), exactly as the engine runs it — including
+                # after a HOP_LIMIT exhaustion.
+                decision = network.finish_route(current, key_id, state)
+                if decision is None or decision.node is None:
                     break
-                hops += 1
-                phases[decision.phase] = phases.get(decision.phase, 0) + 1
-                name = str(node.name)
-                path.append(name)
-                event: Dict[str, object] = {
-                    "hop": hops,
-                    "node": name,
-                    "phase": decision.phase,
-                    "timeouts": decision.timeouts,
-                }
-                if latency is not None:
-                    hop_ms = latency.delay_ms(str(current.name), name)
-                    total_ms += hop_ms
-                    event["model_ms"] = hop_ms
-                    continuation["model_ms"] = total_ms
-                    if hop_ms > 0.0:
-                        await asyncio.sleep(hop_ms / 1000.0)
-                trace.append(event)
-                if not self._is_local(name):
-                    continuation.update(
-                        current=name,
-                        stage="finish" if decision.terminal else "route",
-                        failed=failed,
-                        hops=hops,
-                        timeouts=timeouts,
-                        state=network.pack_route_state(state),
-                    )
-                    return await self._forward(name, continuation)
-                network._record_visit(node)
-                current = node
-                if decision.terminal:
-                    break
-            continuation["stage"] = "finish"
-
-        if continuation["stage"] == "finish":
-            # The walk has stopped at ``current``; a protocol may owe
-            # one final delivery hop (Cycloid's best-observed handoff),
-            # exactly as the engine runs it — including after a
-            # HOP_LIMIT exhaustion.
-            final = network.finish_route(current, key_id, state)
-            if final is not None and final.node is not None:
-                timeouts += final.timeouts
-                node = final.node
-                hops += 1
-                phases[final.phase] = phases.get(final.phase, 0) + 1
-                name = str(node.name)
-                path.append(name)
-                event = {
-                    "hop": hops,
-                    "node": name,
-                    "phase": final.phase,
-                    "timeouts": final.timeouts,
-                }
-                if latency is not None:
-                    hop_ms = latency.delay_ms(str(current.name), name)
-                    total_ms += hop_ms
-                    event["model_ms"] = hop_ms
-                    continuation["model_ms"] = total_ms
-                    if hop_ms > 0.0:
-                        await asyncio.sleep(hop_ms / 1000.0)
-                trace.append(event)
-                if not self._is_local(name):
-                    continuation.update(
-                        current=name,
-                        stage="final",
-                        failed=failed,
-                        hops=hops,
-                        timeouts=timeouts,
-                        state=network.pack_route_state(state),
-                    )
-                    return await self._forward(name, continuation)
-                network._record_visit(node)
-                current = node
+                timeouts += decision.timeouts
+                after = "final"
+            node = decision.node
+            hops += 1
+            phases[decision.phase] = phases.get(decision.phase, 0) + 1
+            name = str(node.name)
+            path.append(name)
+            event: Dict[str, object] = {
+                "hop": hops,
+                "node": name,
+                "phase": decision.phase,
+                "timeouts": decision.timeouts,
+            }
+            if latency is not None:
+                hop_ms = latency.delay_ms(str(current.name), name)
+                total_ms += hop_ms
+                event["model_ms"] = hop_ms
+                continuation["model_ms"] = total_ms
+                if hop_ms > 0.0:
+                    await asyncio.sleep(hop_ms / 1000.0)
+            trace.append(event)
+            if not self._is_local(name):
+                continuation.update(
+                    current=name,
+                    stage=after,
+                    failed=failed,
+                    hops=hops,
+                    timeouts=timeouts,
+                    state=network.pack_route_state(state),
+                )
+                return await self._forward(name, continuation)
+            network._record_visit(node)
+            current = node
+            stage = after
 
         return await self._finalize(
             continuation, current, key_id, hops, timeouts, failed
@@ -758,6 +735,26 @@ class NodeService:
             )
         return name
 
+    def _retiree(self, payload: Dict[str, object], verb: str) -> Node:
+        """The hosted node a LEAVE or CRASH names; a server keeps at
+        least one node."""
+        name = self._hosted(self._required_name(payload, verb))
+        if len(self.hosted) == 1:
+            raise ServiceError(
+                f"refusing to {verb.lower()} this server's last hosted node",
+                code="bad_request",
+            )
+        return self._resolve(name)
+
+    def _forget(self, name: str) -> int:
+        """Drop a departed node from this server; returns the pairs its
+        shelf held."""
+        self.hosted.remove(name)
+        self._hosted_set.discard(name)
+        self._names.pop(name, None)
+        self.directory.pop(name, None)
+        return self.storage.drop_node(name)
+
     async def _handle_join(
         self, payload: Dict[str, object]
     ) -> Dict[str, object]:
@@ -788,18 +785,8 @@ class NodeService:
     async def _handle_leave(
         self, payload: Dict[str, object]
     ) -> Dict[str, object]:
-        name = self._required_name(payload, "LEAVE")
-        if not self._is_local(name):
-            raise ServiceError(
-                f"node {name!r} is not hosted by this server",
-                code="not_hosted",
-            )
-        if len(self.hosted) == 1:
-            raise ServiceError(
-                "refusing to retire this server's last hosted node",
-                code="bad_request",
-            )
-        node = self._resolve(name)
+        node = self._retiree(payload, "LEAVE")
+        name = str(node.name)
         # Snapshot the leaver's shelf before the membership change so
         # its pairs can be pushed to their *new* replica sets after it.
         shelf = [
@@ -812,11 +799,7 @@ class NodeService:
             raise ServiceError(
                 f"leave failed: {exc}", code="membership_failed"
             ) from exc
-        self.hosted.remove(name)
-        self._hosted_set.discard(name)
-        self._names.pop(name, None)
-        self.directory.pop(name, None)
-        dropped = self.storage.drop_node(name)
+        dropped = self._forget(name)
         # Graceful handover: the leaver pushes every pair it held to
         # the pair's post-departure replica set before disappearing.
         rehomed = 0
@@ -849,18 +832,8 @@ class NodeService:
         and (2) restores the replica invariant with a cluster-wide
         repair fan-out; the reply reports how long that window was.
         """
-        name = self._required_name(payload, "CRASH")
-        if not self._is_local(name):
-            raise ServiceError(
-                f"node {name!r} is not hosted by this server",
-                code="not_hosted",
-            )
-        if len(self.hosted) == 1:
-            raise ServiceError(
-                "refusing to crash this server's last hosted node",
-                code="bad_request",
-            )
-        node = self._resolve(name)
+        node = self._retiree(payload, "CRASH")
+        name = str(node.name)
         started = time.perf_counter()
         try:
             self.network.fail(node)
@@ -868,11 +841,7 @@ class NodeService:
             raise ServiceError(
                 f"crash failed: {exc}", code="membership_failed"
             ) from exc
-        self.hosted.remove(name)
-        self._hosted_set.discard(name)
-        self._names.pop(name, None)
-        self.directory.pop(name, None)
-        lost_pairs = self.storage.drop_node(name)
+        lost_pairs = self._forget(name)
         # Lazy route repair, driven eagerly: every surviving node gets
         # the on_dead_entry treatment the engine applies on a timeout.
         route_repairs = 0
@@ -893,40 +862,35 @@ class NodeService:
     # replica transport + active rereplication
     # ------------------------------------------------------------------
 
-    def _shelf_target(self, payload: Dict[str, object], verb: str) -> str:
+    def _shelf_target(
+        self, payload: Dict[str, object], verb: str
+    ) -> Tuple[str, str]:
+        """The hosted ``node`` and the string ``key`` a REPLICATE or
+        FETCH names."""
         name = payload.get("node")
         if not isinstance(name, str) or not name:
             raise ServiceError(
                 f"{verb} requires a non-empty string 'node'",
                 code="bad_request",
             )
-        if not self._is_local(name):
+        self._hosted(name)
+        key = payload.get("key")
+        if not isinstance(key, str):
             raise ServiceError(
-                f"node {name!r} is not hosted by this server",
-                code="not_hosted",
+                f"{verb} requires a string 'key'", code="bad_request"
             )
-        return name
+        return name, key
 
     def _handle_replicate(
         self, payload: Dict[str, object]
     ) -> Dict[str, object]:
-        name = self._shelf_target(payload, "REPLICATE")
-        key = payload.get("key")
-        if not isinstance(key, str):
-            raise ServiceError(
-                "REPLICATE requires a string 'key'", code="bad_request"
-            )
+        name, key = self._shelf_target(payload, "REPLICATE")
         existed, _ = self.storage.get(name, key)
         self.storage.put(name, key, payload.get("value"))
         return {"stored": True, "existed": existed}
 
     def _handle_fetch(self, payload: Dict[str, object]) -> Dict[str, object]:
-        name = self._shelf_target(payload, "FETCH")
-        key = payload.get("key")
-        if not isinstance(key, str):
-            raise ServiceError(
-                "FETCH requires a string 'key'", code="bad_request"
-            )
+        name, key = self._shelf_target(payload, "FETCH")
         found, value = self.storage.get(name, key)
         return {"found": found, "value": value}
 

@@ -1,7 +1,11 @@
 """Load generator: concurrency, digests, schema guard, live traces."""
 
 import asyncio
+import collections
+import copy
 import json
+import os
+import signal
 import threading
 
 import pytest
@@ -11,14 +15,61 @@ from repro.net.loadgen import (
     NET_BENCH_SCHEMA,
     build_from_recipe,
     expected_results,
+    make_open_operations,
     make_operations,
     partial_report,
     results_digest,
+    run_churnstorm,
     run_loadgen,
     validate_net_report,
 )
+from repro.sim.faults import ChurnPlan
 
 BUILD_32 = {"protocol": "cycloid", "nodes": 32, "dimension": 4, "seed": 6}
+BUILD_8 = {"protocol": "cycloid", "dimension": 3, "seed": 1}
+
+
+# One live run per report kind, shared read-only by the tests below;
+# a test that edits a report edits a deep copy.
+@pytest.fixture(scope="module")
+def closed_report():
+    return run_loadgen(
+        BUILD_8, servers=2, clients=4, lookups=6, puts=2, seed=3
+    )
+
+
+@pytest.fixture(scope="module")
+def attached_report():
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    network = build_from_recipe(BUILD_8)
+    cluster = LocalCluster(network, servers=2, build=BUILD_8)
+    asyncio.run_coroutine_threadsafe(cluster.start(), loop).result(10)
+    try:
+        return run_loadgen(
+            BUILD_8, clients=2, lookups=6, puts=2, seed=3, spec=cluster.spec()
+        )
+    finally:
+        asyncio.run_coroutine_threadsafe(cluster.stop(), loop).result(10)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        assert not thread.is_alive()
+        loop.close()
+
+
+@pytest.fixture(scope="module")
+def churn_report():
+    return run_churnstorm(
+        BUILD_8,
+        servers=2,
+        replicas=2,
+        rate=300.0,
+        operations=60,
+        churn=ChurnPlan(seed=5, kills=2),
+        seed=9,
+        clients=4,
+    )
 
 
 class TestWorkload:
@@ -127,54 +178,42 @@ class TestClosedLoopRun:
 
 
 class TestSchemaGuard:
-    def make_report(self):
-        return run_loadgen(
-            {"protocol": "cycloid", "dimension": 3, "seed": 1},
-            servers=2,
-            clients=4,
-            lookups=6,
-            puts=2,
-            seed=3,
-        )
+    @pytest.fixture
+    def report(self, closed_report):
+        return copy.deepcopy(closed_report)
 
-    def test_valid_report_passes(self):
-        validate_net_report(self.make_report())
+    def test_valid_report_passes(self, report):
+        validate_net_report(report)
 
-    def test_wrong_schema_tag_rejected(self):
-        report = self.make_report()
+    def test_wrong_schema_tag_rejected(self, report):
         report["schema"] = "repro/net-bench/v0"
         with pytest.raises(ValueError, match="schema"):
             validate_net_report(report)
 
-    def test_missing_section_rejected(self):
-        report = self.make_report()
+    def test_missing_section_rejected(self, report):
         del report["latency_ms"]
         with pytest.raises(ValueError, match="latency_ms"):
             validate_net_report(report)
 
-    def test_missing_nested_key_rejected(self):
-        report = self.make_report()
+    def test_missing_nested_key_rejected(self, report):
         del report["ops"]["failures"]
         with pytest.raises(ValueError, match="failures"):
             validate_net_report(report)
 
-    def test_inconsistent_match_flag_rejected(self):
-        report = self.make_report()
+    def test_inconsistent_match_flag_rejected(self, report):
         report["digest"]["match"] = not report["digest"]["match"]
         with pytest.raises(ValueError, match="inconsistent"):
             validate_net_report(report)
 
-    def test_malformed_digest_rejected(self):
-        report = self.make_report()
+    def test_malformed_digest_rejected(self, report):
         report["digest"]["live"] = "not-a-hash"
         with pytest.raises(ValueError, match="sha256"):
             validate_net_report(report)
 
-    def test_missing_mode_rejected(self):
+    def test_missing_mode_rejected(self, report):
         """``mode`` is mandatory, not defaulted: a report that omits it
         (the old SIGINT-before-run bug) must fail the guard instead of
         silently validating as closed-loop."""
-        report = self.make_report()
         del report["mode"]
         with pytest.raises(ValueError, match="mode"):
             validate_net_report(report)
@@ -197,24 +236,8 @@ class TestForwardTelemetry:
         validate_net_report(split)
         validate_net_report(single)
 
-    def test_attached_report_leaves_forwards_out(self):
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
-        thread.start()
-        cluster = LocalCluster(
-            build_from_recipe(self.BUILD), servers=2, build=self.BUILD
-        )
-        asyncio.run_coroutine_threadsafe(cluster.start(), loop).result(10)
-        try:
-            report = run_loadgen(
-                self.BUILD, clients=2, lookups=6, puts=2, seed=3,
-                spec=cluster.spec(),
-            )
-        finally:
-            asyncio.run_coroutine_threadsafe(cluster.stop(), loop).result(10)
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join()
-            loop.close()
+    def test_attached_report_leaves_forwards_out(self, attached_report):
+        report = attached_report
         assert report["attached"] is True
         assert report["digest"]["match"] is True
         assert "forwards_per_op" not in report
@@ -231,78 +254,52 @@ class TestForwardTelemetry:
 class TestChurnSchemaGuard:
     """The ``"open-churn"`` report mode of the same schema tag."""
 
-    def make_report(self):
-        from repro.net.loadgen import run_churnstorm
-        from repro.sim.faults import ChurnPlan
+    @pytest.fixture
+    def report(self, churn_report):
+        return copy.deepcopy(churn_report)
 
-        return run_churnstorm(
-            {"protocol": "cycloid", "dimension": 3, "seed": 1},
-            servers=2,
-            replicas=2,
-            rate=300.0,
-            operations=60,
-            churn=ChurnPlan(seed=5, kills=2),
-            seed=9,
-            clients=4,
-        )
-
-    def test_valid_churn_report_passes(self):
-        report = self.make_report()
+    def test_valid_churn_report_passes(self, report):
         assert report["mode"] == "open-churn"
         assert report["complete"] is True
         validate_net_report(report)
 
-    def test_churn_report_needs_no_digest(self):
-        report = self.make_report()
+    def test_churn_report_needs_no_digest(self, report):
         assert "digest" not in report
         validate_net_report(report)
 
-    def test_negative_forwards_per_op_rejected(self):
-        report = self.make_report()
+    def test_negative_forwards_per_op_rejected(self, report):
         assert report["forwards_per_op"] >= 0
         report["forwards_per_op"] = -1
         with pytest.raises(ValueError, match="forwards_per_op"):
             validate_net_report(report)
 
-    def test_missing_churn_section_rejected(self):
-        report = self.make_report()
+    def test_missing_churn_section_rejected(self, report):
         del report["churn"]
         with pytest.raises(ValueError, match="churn"):
             validate_net_report(report)
 
-    def test_missing_survival_rate_rejected(self):
-        report = self.make_report()
+    def test_missing_survival_rate_rejected(self, report):
         del report["churn"]["survival_rate"]
         with pytest.raises(ValueError, match="survival_rate"):
             validate_net_report(report)
 
-    def test_inconsistent_survival_rate_rejected(self):
-        report = self.make_report()
+    def test_inconsistent_survival_rate_rejected(self, report):
         report["churn"]["survival_rate"] = 0.5  # but nothing was lost
         with pytest.raises(ValueError, match="survival_rate"):
             validate_net_report(report)
 
-    def test_unknown_mode_rejected(self):
-        report = self.make_report()
+    def test_unknown_mode_rejected(self, report):
         report["mode"] = "sideways"
         with pytest.raises(ValueError, match="mode"):
             validate_net_report(report)
 
-    def test_missing_mode_rejected_for_churn_shape_too(self):
-        report = self.make_report()
+    def test_missing_mode_rejected_for_churn_shape_too(self, report):
         del report["mode"]
         with pytest.raises(ValueError, match="mode"):
             validate_net_report(report)
 
-    def test_closed_loop_report_is_marked_complete(self):
-        report = run_loadgen(
-            {"protocol": "cycloid", "dimension": 3, "seed": 1},
-            servers=2,
-            clients=4,
-            lookups=4,
-            puts=2,
-            seed=3,
-        )
+    def test_closed_loop_report_is_marked_complete(self, closed_report):
+        report = closed_report
         assert report["mode"] == "closed-loop"
         assert report["complete"] is True
 
@@ -311,33 +308,60 @@ class TestInterruptedRun:
     """SIGINT flushes a partial report instead of discarding the run."""
 
     def test_preset_stop_event_drains_without_work(self):
-        import asyncio
+        """Both release rules honour a stop set before the first op:
+        nothing is sent, nothing fails, and the report says so."""
+        from repro.net.loadgen import _drive, _report, _Run
 
-        from repro.net.cluster import LocalCluster
-        from repro.net.loadgen import _run_clients
-        from repro.sim.faults import RetryPolicy
+        network = build_from_recipe(BUILD_8)
+        schedules = {
+            "closed-loop": (make_operations(network, 20, 2, seed=2), None),
+            "open-churn": (
+                make_open_operations(20, seed=2, rate=100.0),
+                ChurnPlan(seed=2, kills=1),
+            ),
+        }
+        for mode, (operations, churn) in schedules.items():
+            counts = collections.Counter(op["op"] for op in operations)
+            run = _Run(mode, BUILD_8, 2, 2, 2, counts, churn=churn)
 
-        async def go():
-            network = build_from_recipe(
-                {"protocol": "cycloid", "dimension": 3, "seed": 1}
-            )
-            operations = make_operations(network, 20, 0, seed=2)
-            async with LocalCluster(network, servers=2) as cluster:
+            async def go():
                 stop = asyncio.Event()
                 stop.set()
-                outcome = await _run_clients(
-                    cluster.directory,
-                    operations,
-                    2,
-                    RetryPolicy(),
-                    5.0,
-                    stop,
+                return await _drive(
+                    run, network.clone(), operations, None, stop
                 )
-                assert outcome["interrupted"] is True
-                assert outcome["results"] == []
-                assert outcome["failures"] == 0
 
-        asyncio.run(go())
+            outcome = asyncio.run(go())
+            assert outcome.interrupted == "mid-run", mode
+            assert outcome.results == [], mode
+            assert outcome.failures == 0, mode
+            assert outcome.events == [], mode
+            report = _report(run, outcome)
+            validate_net_report(report)
+            assert report["mode"] == mode
+            assert report["complete"] is False, mode
+            assert report["ops"]["completed"] == 0, mode
+
+    def test_sigint_mid_churnstorm_flushes_partial_report(self):
+        """churnstorm routes SIGINT into the same stop event: the storm
+        ends early and a valid partial open-churn report comes back."""
+        timer = threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGINT))
+        timer.start()
+        try:
+            # 400 ops at 40/s is a 10 s storm; the signal lands at 0.5 s.
+            report = run_churnstorm(
+                BUILD_8, servers=2, rate=40.0, operations=400,
+                churn=ChurnPlan(seed=5, kills=1), seed=9, clients=2,
+            )
+        finally:
+            timer.join(10)
+        assert not timer.is_alive()
+        validate_net_report(report)
+        assert report["mode"] == "open-churn"
+        assert report["complete"] is False
+        assert report["interrupted"] == "mid-run"
+        assert report["ops"]["completed"] < report["ops"]["total"]
+        assert report["churn"]["lost_acked_keys"] == 0
 
     def test_sigint_mid_run_flushes_partial_report(self, tmp_path):
         import os
@@ -419,3 +443,107 @@ class TestPartialReportBranch:
         assert empty["ops"]["total"] == 0
         assert empty["digest"]["match"] is True
         validate_net_report(empty)
+
+
+def _key_paths(block, prefix=""):
+    """Every key of a report, nested ones as dotted paths."""
+    paths = set()
+    for key, value in block.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+def _under(section, keys):
+    return {section} | {f"{section}.{key}" for key in keys}
+
+
+_LATENCY = ("mean", "p50", "p95", "p99", "max")
+_BUILD = _under("build", ("protocol", "dimension", "seed"))
+_HEADER = (
+    {
+        "schema", "mode", "complete", "servers", "clients", "seed",
+        "throughput_ops_per_s", "elapsed_s", "errors",
+    }
+    | _BUILD
+    | _under(
+        "ops",
+        ("total", "completed", "lookups", "puts", "gets", "failures",
+         "retries"),
+    )
+    | _under("latency_ms", _LATENCY)
+)
+_RUN_SETTINGS = {"timeout_s"} | _under(
+    "retry", ("budget", "base_delay", "multiplier", "max_delay")
+)
+_PARITY = {"attached"} | _under("digest", ("live", "expected", "match"))
+#: Keys the shared report builder adds to the before-run partial report,
+#: which carried none of them before the builder was shared.
+ADDED_TO_PARTIAL = _RUN_SETTINGS | {"attached"}
+
+
+class TestReportShapes:
+    """The full nested key set of each report kind is pinned: the
+    validator requires only some keys, but people and CI artifacts read
+    the rest (``retry``, ``timeout_s``, ``elapsed_s``, ``open_loop.*``,
+    ``churn.skipped``, ...)."""
+
+    def test_self_hosted_closed_loop(self, closed_report):
+        assert _key_paths(closed_report) == (
+            _HEADER | _RUN_SETTINGS | _PARITY | {"forwards_per_op"}
+        )
+
+    def test_attached_closed_loop(self, attached_report):
+        assert _key_paths(attached_report) == (
+            _HEADER | _RUN_SETTINGS | _PARITY
+        )
+
+    def test_before_run_partial(self):
+        report = partial_report(BUILD_8, 2, 4, 6, 2, 3)
+        assert _key_paths(report) == (
+            _HEADER
+            | _under("digest", ("live", "expected", "match"))
+            | {"interrupted"}
+            | ADDED_TO_PARTIAL
+        )
+
+    def test_open_churn(self, churn_report):
+        by_op = {"all", "put", "get"}
+        open_loop = (
+            _under(
+                "open_loop",
+                ("rate_target_ops_per_s", "rate_achieved_ops_per_s",
+                 "duration_s", "key_universe", "put_fraction", "latency_ms"),
+            )
+            | {f"open_loop.latency_ms.{op}" for op in by_op}
+            | {
+                f"open_loop.latency_ms.{op}.{stat}"
+                for op in by_op
+                for stat in _LATENCY
+            }
+        )
+        closed_loop = _under("closed_loop", ("verification_gets",)) | {
+            f"closed_loop.{key}" for key in _under("latency_ms", _LATENCY)
+        }
+        churn = (
+            _under(
+                "churn",
+                ("plan", "events", "crashes", "joins", "skipped",
+                 "acked_writes", "acked_keys", "lost_acked_keys",
+                 "lost_keys", "survival_rate", "under_replication_ms"),
+            )
+            | {
+                f"churn.plan.{key}"
+                for key in ("seed", "kills", "rejoin", "start", "end")
+            }
+            | {f"churn.under_replication_ms.{key}" for key in ("mean", "max")}
+        )
+        assert _key_paths(churn_report) == (
+            _HEADER
+            | _RUN_SETTINGS
+            | {"forwards_per_op", "replicas"}
+            | open_loop
+            | closed_loop
+            | churn
+        )
