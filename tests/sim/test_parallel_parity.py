@@ -437,11 +437,15 @@ def test_golden_digest(protocol):
 #: Golden digests of the fault-mode cascade: crash+retry cells at d=6
 #: (30% ungraceful crashes, 5% message loss, retry budget 8, three
 #: shards), hashed over the fields perfbench's crash digest covers.
-#: Cycloid's ranked alternates, lazy route repair and the per-shard
-#: loss streams all feed them; nothing else pins that path.
+#: Cycloid's ranked alternates, each listed overlay's ``fail`` and lazy
+#: route repair (``on_dead_entry``) and the per-shard loss streams all feed
+#: them; nothing else in tier 1 pins that path.
 FAULT_GOLDEN_DIGESTS = {
     "cycloid": "ee906fd366692971558c1252a55a560ef1534a4beeb098223a273b3b85e43152",
     "cycloid-11": "dab07365f745c2b54eb4ed9d345c0ec7bfbbc2d6a881b6694e4d22ec7f08c462",
+    "chord": "05739d652747ee47569d0410adc0e9c00b00aba8bd96dd51d7d3af5ffa0b4908",
+    "koorde": "6a20b2223cec443c9f861c524778a1382cf33bdcebcc4b08a6dbdc410793dc23",
+    "viceroy": "0ae58dbb720590750f1815675cf76b9d32ba402ad9cc3494a8be812b94951f92",
 }
 
 
@@ -457,7 +461,10 @@ def test_fault_mode_golden_digest(protocol):
         retry_budget=8,
     )
     assert merged.shards == 3
-    assert merged.stats.failures > 0 and merged.stats.total_retries > 0
+    assert merged.stats.total_retries > 0
+    # Viceroy derives its links from the live membership, so crashes
+    # never strand a lookup there; only loss retries fire.
+    assert merged.stats.failures > 0 or protocol == "viceroy"
     payload = json.dumps(
         [
             merged.stats.digest(),
