@@ -21,7 +21,7 @@ def _measure(radius: int, departure_probability: float = 0.0):
     network = CycloidNetwork.complete(DIMENSION, leaf_radius=radius)
     if departure_probability:
         fail_nodes(network, departure_probability, make_rng(99))
-    stats = run_lookups(network, LOOKUPS, seed=41)
+    stats = run_lookups(network, LOOKUPS, seed=41, backend="columnar")
     return network, stats
 
 

@@ -19,6 +19,7 @@ def test_fig14_koorde_sparsity_breakdown(benchmark, report):
             "sparsities": (0.0, 0.2, 0.4, 0.6, 0.8),
             "lookups": LOOKUPS,
             "seed": 14,
+            "backend": "columnar",
         },
         rounds=1,
         iterations=1,

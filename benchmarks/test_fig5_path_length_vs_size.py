@@ -23,7 +23,7 @@ def _by(points, protocol, dimension):
 def test_fig5_path_length_vs_size(benchmark, report):
     points = benchmark.pedantic(
         run_path_length_experiment,
-        kwargs={"lookups": LOOKUPS, "seed": 42},
+        kwargs={"lookups": LOOKUPS, "seed": 42, "backend": "columnar"},
         rounds=1,
         iterations=1,
     )

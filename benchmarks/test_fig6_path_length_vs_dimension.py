@@ -16,7 +16,7 @@ LOOKUPS = 3000
 def test_fig6_path_length_vs_dimension(benchmark, report):
     points = benchmark.pedantic(
         run_path_length_experiment,
-        kwargs={"lookups": LOOKUPS, "seed": 24},
+        kwargs={"lookups": LOOKUPS, "seed": 24, "backend": "columnar"},
         rounds=1,
         iterations=1,
     )

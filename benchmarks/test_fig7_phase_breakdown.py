@@ -18,7 +18,12 @@ LOOKUPS = 3000
 def test_fig7_phase_breakdown(benchmark, report):
     points = benchmark.pedantic(
         run_phase_breakdown_experiment,
-        kwargs={"dimensions": (4, 5, 6, 7, 8), "lookups": LOOKUPS, "seed": 7},
+        kwargs={
+            "dimensions": (4, 5, 6, 7, 8),
+            "lookups": LOOKUPS,
+            "seed": 7,
+            "backend": "columnar",
+        },
         rounds=1,
         iterations=1,
     )

@@ -15,7 +15,7 @@ the CAN takeover rule.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.can.node import CanNode, Zone
 from repro.dht.base import Network
@@ -180,8 +180,7 @@ class CanNetwork(Network):
     # membership
     # ------------------------------------------------------------------
 
-    def join(self, name: object) -> CanNode:
-        self.invalidate_owner_cache()
+    def _admit(self, name: object) -> CanNode:
         point = self.key_id(name)
         if not self._nodes:
             full = Zone(
@@ -207,44 +206,25 @@ class CanNetwork(Network):
         )
         return node
 
-    def leave(self, node: CanNode) -> None:
-        """Graceful departure: zones hand over to the buddy or to the
-        smallest neighbour (CAN's takeover), which coalesces buddies."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.invalidate_owner_cache()
-        if len(self._nodes) == 1:
-            node.alive = False
-            self._nodes.remove(node)
-            return
-        node.alive = False
+    def _unlink(self, node: CanNode) -> None:
+        """Zones hand over to the buddy or to the smallest neighbour
+        (CAN's takeover), which coalesces buddies.  A silent failure
+        stops here (CAN recovers ownership via its takeover timers):
+        neighbour lists elsewhere stay stale until stabilisation."""
         self._nodes.remove(node)
+        if not self._nodes:
+            return
         for zone in node.zones:
             taker = self._taker_for(zone, node)
             taker.zones.append(zone)
             self._coalesce(taker)
+
+    def _notify_leave(self, node: CanNode) -> None:
+        """Graceful departure: the nodes around the handed-over zones
+        refresh their neighbour lists."""
         self.maintenance_updates += self._refresh_neighbors_around(
             node.zones
         )
-
-    def fail(self, node: CanNode) -> None:
-        """Silent failure: the zone is still taken over (CAN recovers
-        ownership via its takeover timers) but neighbour lists elsewhere
-        stay stale until stabilisation."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.invalidate_owner_cache()
-        if len(self._nodes) == 1:
-            node.alive = False
-            self._nodes.remove(node)
-            return
-        node.alive = False
-        self._nodes.remove(node)
-        for zone in node.zones:
-            taker = self._taker_for(zone, node)
-            taker.zones.append(zone)
-            self._coalesce(taker)
-        # No neighbour refresh: that is stabilisation's job now.
 
     def on_dead_entry(self, observer: CanNode, dead: CanNode) -> int:
         """Lazy repair after a timeout on ``dead``: drop it from the

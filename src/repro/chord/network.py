@@ -10,15 +10,12 @@ plays in the paper's §4.4 churn experiment.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, Optional, Set
 
 from repro.chord.node import ChordNode
-from repro.dht.base import Network
-from repro.dht.hashing import hash_to_ring
-from repro.dht.ring import SortedRing, in_interval
+from repro.dht.ring import in_interval
+from repro.dht.ring_overlay import SuccessorRingNetwork
 from repro.dht.routing import RoutingDecision
-from repro.util.rng import make_rng
 
 __all__ = ["ChordNetwork"]
 
@@ -26,7 +23,7 @@ PHASE_FINGER = "finger"
 PHASE_SUCCESSOR = "successor"
 
 
-class ChordNetwork(Network):
+class ChordNetwork(SuccessorRingNetwork):
     """A Chord ring over the ``2^bits`` identifier space.
 
     ``successor_list_size`` defaults to ``bits`` — Chord's design point of
@@ -37,6 +34,7 @@ class ChordNetwork(Network):
 
     protocol_name = "chord"
     ROUTING_PHASES = (PHASE_FINGER, PHASE_SUCCESSOR)
+    node_class = ChordNode
 
     def __init__(
         self,
@@ -44,15 +42,11 @@ class ChordNetwork(Network):
         successor_list_size: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> None:
-        super().__init__()
         if successor_list_size is None:
             successor_list_size = bits
         if successor_list_size < 1:
             raise ValueError("successor_list_size must be >= 1")
-        self.bits = bits
-        self.successor_list_size = successor_list_size
-        self.ring: SortedRing[ChordNode] = SortedRing(bits)
-        self._rng = make_rng(seed)
+        super().__init__(bits, seed, successor_list_size=successor_list_size)
 
     # ------------------------------------------------------------------
     # construction
@@ -67,11 +61,7 @@ class ChordNetwork(Network):
         seed: Optional[int] = None,
     ) -> "ChordNetwork":
         """Build a stabilised network containing exactly ``node_ids``."""
-        network = cls(bits, successor_list_size, seed)
-        for node_id in node_ids:
-            network._insert(ChordNode(f"n{node_id}", node_id, bits))
-        network.stabilize()
-        return network
+        return cls(bits, successor_list_size, seed)._populate(node_ids)
 
     @classmethod
     def with_random_ids(
@@ -82,11 +72,7 @@ class ChordNetwork(Network):
         seed: Optional[int] = None,
     ) -> "ChordNetwork":
         """Build a stabilised network of ``count`` distinct random ids."""
-        space = 1 << bits
-        if count > space:
-            raise ValueError(f"{count} nodes exceed the 2^{bits} ID space")
-        rng = make_rng(seed)
-        ids = rng.sample(range(space), count)
+        ids = cls._sample_ids(count, bits, seed)
         return cls.with_ids(ids, bits, successor_list_size, seed)
 
     @classmethod
@@ -97,27 +83,6 @@ class ChordNetwork(Network):
     ) -> "ChordNetwork":
         """Every identifier occupied — the paper's dense configuration."""
         return cls.with_ids(range(1 << bits), bits, successor_list_size)
-
-    def _insert(self, node: ChordNode) -> None:
-        self.ring.add(node.id, node)
-
-    # ------------------------------------------------------------------
-    # Network interface
-    # ------------------------------------------------------------------
-
-    def live_nodes(self) -> Sequence[ChordNode]:
-        return self.ring.nodes()
-
-    @property
-    def size(self) -> int:
-        return len(self.ring)
-
-    def key_id(self, key: object) -> int:
-        return hash_to_ring(key, self.bits)
-
-    def owner_of_id(self, key_id: int) -> ChordNode:
-        """Ground truth: the key's live successor."""
-        return self.ring.successor(key_id)
 
     # ------------------------------------------------------------------
     # routing
@@ -245,147 +210,30 @@ class ChordNetwork(Network):
             yield successor, PHASE_SUCCESSOR
 
     # ------------------------------------------------------------------
-    # membership changes
+    # fingers (the ring itself is SuccessorRingNetwork's)
     # ------------------------------------------------------------------
 
-    def join(self, name: object) -> ChordNode:
-        """Join via consistent hashing; wires the joiner and its neighbours.
-
-        The joiner's own pointers are initialised correctly (in the real
-        protocol it learns them by routing through any contact node) and
-        its immediate ring neighbours are notified; everyone else's
-        fingers stay stale until stabilisation, per the paper's model.
-        """
-        node_id = self._free_id_for(name)
-        self.invalidate_owner_cache()
-        node = ChordNode(name, node_id, self.bits)
-        had_peers = len(self.ring) > 0
-        self._insert(node)
-        if had_peers:
-            self._wire(node)
-            successor = node.successor
-            if successor is not None:
-                successor.predecessor = node
-                self.maintenance_updates += 1
-            predecessor = node.predecessor
-            if predecessor is not None:
-                predecessor.successors = self._successor_list(predecessor)
-                self.maintenance_updates += 1
-        else:
-            self._wire(node)
-        return node
-
-    def _free_id_for(self, name: object) -> int:
-        """Hash ``name``; linear-probe past ids already in use."""
-        node_id = hash_to_ring(name, self.bits)
-        space = 1 << self.bits
-        if len(self.ring) >= space:
-            raise RuntimeError("identifier space exhausted")
-        while node_id in self.ring:
-            node_id = (node_id + 1) % space
-        return node_id
-
-    def leave(self, node: ChordNode) -> None:
-        """Graceful departure: notify predecessor and successor only."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.invalidate_owner_cache()
-        node.alive = False
-        self.ring.remove(node.id)
-        predecessor = node.predecessor
-        # Notify the first *live* successor (the departing node walks its
-        # backup list exactly as a lookup would).
-        successor = next((s for s in node.successors if s.alive), None)
-        if successor is not None and successor.predecessor is node:
-            successor.predecessor = (
-                predecessor
-                if predecessor is not None and predecessor.alive
-                else None
-            )
-            self.maintenance_updates += 1
-        if predecessor is not None and predecessor.alive:
-            # Splice the departed node out of the predecessor's list and
-            # extend it with the departed node's knowledge.
-            merged = [s for s in predecessor.successors if s is not node]
-            for candidate in node.successors:
-                if candidate is not predecessor and candidate not in merged:
-                    merged.append(candidate)
-            predecessor.successors = merged[: self.successor_list_size]
-            self.maintenance_updates += 1
-
-    def fail(self, node: ChordNode) -> None:
-        """Silent failure: no ring splicing — successor lists and
-        predecessor pointers stay stale until stabilisation."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.invalidate_owner_cache()
-        node.alive = False
-        self.ring.remove(node.id)
-
-    def on_dead_entry(self, observer: ChordNode, dead: ChordNode) -> int:
-        """Lazy repair after a timeout on ``dead``: splice it out of the
-        successor list, clear a stale predecessor pointer, and re-point
-        any finger at it to its interval's current live successor — the
-        walk-down repair Chord performs when a finger probe fails."""
+    def _repair_long_links(self, observer: ChordNode, dead: ChordNode) -> int:
+        """Re-point any finger at ``dead`` to its interval's current
+        live successor — the walk-down repair Chord performs when a
+        finger probe fails."""
+        if dead not in observer.fingers:
+            return 0
         repaired = 0
-        if any(s is dead for s in observer.successors):
-            observer.successors = [
-                s for s in observer.successors if s is not dead
-            ]
-            repaired += 1
-        if observer.predecessor is dead:
-            observer.predecessor = None
-            repaired += 1
-        if dead in observer.fingers:
-            space = 1 << self.bits
-            fingers = list(observer.fingers)  # rebound, never written into
-            for index, finger in enumerate(fingers):
-                if finger is dead:
-                    fingers[index] = self.ring.successor(
-                        (observer.id + (1 << index)) % space
-                    )
-                    repaired += 1
-            observer.fingers = fingers
+        space = 1 << self.bits
+        fingers = list(observer.fingers)  # rebound, never written into
+        for index, finger in enumerate(fingers):
+            if finger is dead:
+                fingers[index] = self.ring.successor(
+                    (observer.id + (1 << index)) % space
+                )
+                repaired += 1
+        observer.fingers = fingers
         return repaired
 
-    def stabilize(self) -> None:
-        """Restore every live node's pointers from the live membership."""
-        for node in self.ring.nodes():
-            self._wire(node)
-
-    def stabilize_node(self, node: ChordNode) -> None:
-        """One node's stabilisation: refresh successors and fingers."""
-        if node.alive:
-            self._wire(node)
-
-    def _wire(self, node: ChordNode) -> None:
-        node.successors = self._successor_list(node)
-        node.predecessor = (
-            self.ring.predecessor(node.id) if len(self.ring) > 1 else None
-        )
+    def _wire_long_links(self, node: ChordNode) -> None:
         space = 1 << self.bits
         node.fingers = [
             self.ring.successor((node.id + (1 << i)) % space)
             for i in range(self.bits)
         ]
-
-    def _successor_list(self, node: ChordNode) -> List[ChordNode]:
-        return self.ring.successor_run(node.id, self.successor_list_size)
-
-    # ------------------------------------------------------------------
-    # invariants
-    # ------------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        super().check_invariants()
-        nodes = self.ring.nodes()
-        for node in nodes:
-            if len(nodes) == 1:
-                assert node.successors == [], "singleton must have no successors"
-                continue
-            assert node.successors, f"{node!r} has an empty successor list"
-            expected = self.ring.successor_id((node.id + 1) % self.ring.modulus)
-            assert node.successor is not None
-            assert node.successor.id == expected, (
-                f"{node!r} successor {node.successor.id}, expected {expected}"
-            )

@@ -189,8 +189,7 @@ class CycloidNetwork(Network):
         """Build a fully-stabilised network containing ``node_ids``."""
         network = cls(dimension, leaf_radius, seed, leaf_selection, latency)
         for node_id in node_ids:
-            node = CycloidNode(f"n{node_id.linear}", node_id)
-            network.topology.add(node_id, node)
+            network._place(f"n{node_id.linear}", node_id)
         network.stabilize()
         return network
 
@@ -572,7 +571,7 @@ class CycloidNetwork(Network):
     # membership changes (§3.3)
     # ------------------------------------------------------------------
 
-    def join(self, name: object) -> CycloidNode:
+    def _admit(self, name: object) -> CycloidNode:
         """Node arrival: wire the joiner, notify affected leaf sets.
 
         The joiner's routing table and leaf sets are initialised from
@@ -581,38 +580,31 @@ class CycloidNetwork(Network):
         leaf sets — everyone else's cubical/cyclic neighbours stay stale
         until stabilisation.
         """
-        self.invalidate_owner_cache()
-        node_id = self._free_id_for(name)
-        node = CycloidNode(name, node_id)
-        self.topology.add(node_id, node)
+        node = self._place(name, self._free_id_for(name))
         self._wire_routing(node)
         self.maintenance_updates += self._refresh_leaves_around(
-            node_id.cubical, exclude=node
+            node.cubical, exclude=node
         )
         return node
 
-    def leave(self, node: CycloidNode) -> None:
+    def _place(self, name: object, node_id: CycloidId) -> CycloidNode:
+        node = CycloidNode(name, node_id)
+        self.topology.add(node_id, node)
+        return node
+
+    def _unlink(self, node: CycloidNode) -> None:
+        """A silent failure (paper §5 future work) stops here: no
+        notifications at all — even leaf sets go stale until the next
+        stabilisation, so lookups survive on timeouts and fallbacks."""
+        self.topology.remove(node.id)
+
+    def _notify_leave(self, node: CycloidNode) -> None:
         """Graceful departure (§3.3.2): inside leaf set always notified;
         outside leaf sets notified when the leaver was a primary node.
         Cubical/cyclic neighbours of other nodes are left stale."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.invalidate_owner_cache()
-        node.alive = False
-        self.topology.remove(node.id)
         self.maintenance_updates += self._refresh_leaves_around(
             node.id.cubical
         )
-
-    def fail(self, node: CycloidNode) -> None:
-        """Silent failure (paper §5 future work): no notifications at
-        all — even leaf sets go stale until the next stabilisation, so
-        lookups must survive on timeouts and fallbacks alone."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.invalidate_owner_cache()
-        node.alive = False
-        self.topology.remove(node.id)
 
     def on_dead_entry(self, observer: CycloidNode, dead: CycloidNode) -> int:
         """Lazy repair after a timeout on ``dead``: null the stale

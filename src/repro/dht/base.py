@@ -107,7 +107,7 @@ class Network(abc.ABC):
         self._query_counts: Counter = Counter()
         #: the membership cache: memoized ``key_id -> owner`` and
         #: per-node memos (:meth:`_membership_memo`); every membership
-        #: change (join/leave/fail) calls :meth:`invalidate_owner_cache`.
+        #: change (join/leave/fail/insert_at) drops it.
         self._owner_cache: Dict[object, object] = {}
         #: running count of *other* nodes whose routing state a join or
         #: graceful leave updated — the connectivity-maintenance cost
@@ -143,11 +143,17 @@ class Network(abc.ABC):
         """
         return len(self.live_nodes())
 
-    @abc.abstractmethod
+    # -- the membership lifecycle --------------------------------------
+    #
+    # ``join``/``leave``/``fail`` own the bookkeeping every overlay
+    # shares: the liveness check, the membership-cache drop and the
+    # ``alive`` flip.  Overlays implement only the hooks below them.
+
     def join(self, name: object) -> Node:
         """Add a node for ``name`` via the protocol's join procedure."""
+        self.invalidate_owner_cache()
+        return self._admit(name)
 
-    @abc.abstractmethod
     def leave(self, node: Node) -> None:
         """Graceful departure: notify per-protocol relatives, then die.
 
@@ -155,6 +161,8 @@ class Network(abc.ABC):
         neighbours, de Bruijn pointers) are left stale deliberately —
         repairing them is stabilisation's job (§3.3.2).
         """
+        self._depart(node)
+        self._notify_leave(node)
 
     def fail(self, node: Node) -> None:
         """Ungraceful failure: the node vanishes without notifying anyone.
@@ -164,11 +172,52 @@ class Network(abc.ABC):
         future work; this extension point injects exactly that scenario
         so the robustness of each design can be measured.  Every pointer
         anywhere that references the node goes stale until
-        stabilisation.  Default implementation raises; overlays opt in.
+        stabilisation.
         """
+        self._depart(node)
+
+    def insert_at(self, name: object, node_id: object) -> Node:
+        """Insert a node for ``name`` at a chosen ``node_id`` without
+        running the join protocol: nobody is wired or notified, so the
+        caller stabilises afterwards (a sybil that picked its own id)."""
+        self.invalidate_owner_cache()
+        return self._place(name, node_id)
+
+    def _depart(self, node: Node) -> None:
+        if not node.alive:
+            raise ValueError(f"{node!r} already departed")
+        self.invalidate_owner_cache()
+        node.alive = False
+        self._unlink(node)
+
+    def _admit(self, name: object) -> Node:
+        """Join hook: pick the joiner's id, insert and wire it, notify
+        its relatives (adding their count to
+        :attr:`maintenance_updates`); returns the new node."""
         raise NotImplementedError(
-            f"{type(self).__name__} does not support silent failures"
+            f"{type(self).__name__} does not support joins"
         )
+
+    def _place(self, name: object, node_id: object) -> Node:
+        """Build an unwired node for ``name`` at ``node_id`` and add it to
+        the membership index (:meth:`insert_at`)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support chosen-id insertion"
+        )
+
+    def _unlink(self, node: Node) -> None:
+        """Departure hook, graceful or not: ``node`` is already marked
+        dead and the membership cache dropped; remove it from the
+        membership index, plus whatever the protocol does on either
+        kind of departure (memoizing nothing about the old membership)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support departures"
+        )
+
+    def _notify_leave(self, node: Node) -> None:
+        """Graceful-leave hook, after :meth:`_unlink`: notify the
+        relatives the protocol tells (adding their count to
+        :attr:`maintenance_updates`).  Default: nobody."""
 
     @abc.abstractmethod
     def stabilize(self) -> None:
@@ -227,7 +276,8 @@ class Network(abc.ABC):
 
     def invalidate_owner_cache(self) -> None:
         """Drop the membership cache — memoized owners and every
-        per-node memo; call on every join/leave/fail."""
+        per-node memo; the membership lifecycle above calls it on every
+        change."""
         self._owner_cache.clear()
 
     def owner_of_key(self, key: object) -> Node:

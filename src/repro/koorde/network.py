@@ -12,14 +12,12 @@ and 14 break down.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.dht.base import Network
-from repro.dht.hashing import hash_to_ring
-from repro.dht.ring import SortedRing, in_interval
+from repro.dht.ring import in_interval
+from repro.dht.ring_overlay import SuccessorRingNetwork
 from repro.dht.routing import RoutingDecision
 from repro.koorde.node import KoordeNode
-from repro.util.rng import make_rng
 
 __all__ = ["KoordeNetwork"]
 
@@ -42,17 +40,16 @@ class _ImaginaryWalk:
         self.bits_left = bits_left
 
 
-class KoordeNetwork(Network):
+class KoordeNetwork(SuccessorRingNetwork):
     """A Koorde ring over the ``2^bits`` identifier space."""
 
     protocol_name = "koorde"
     ROUTING_PHASES = (PHASE_DEBRUIJN, PHASE_SUCCESSOR)
+    node_class = KoordeNode
+    successor_list_size = SUCCESSOR_LIST_SIZE
 
     def __init__(self, bits: int, seed: Optional[int] = None) -> None:
-        super().__init__()
-        self.bits = bits
-        self.ring: SortedRing[KoordeNode] = SortedRing(bits)
-        self._rng = make_rng(seed)
+        super().__init__(bits, seed)
 
     # ------------------------------------------------------------------
     # construction
@@ -62,43 +59,17 @@ class KoordeNetwork(Network):
     def with_ids(
         cls, node_ids: Iterable[int], bits: int, seed: Optional[int] = None
     ) -> "KoordeNetwork":
-        network = cls(bits, seed)
-        for node_id in node_ids:
-            network.ring.add(node_id, KoordeNode(f"n{node_id}", node_id, bits))
-        network.stabilize()
-        return network
+        return cls(bits, seed)._populate(node_ids)
 
     @classmethod
     def with_random_ids(
         cls, count: int, bits: int, seed: Optional[int] = None
     ) -> "KoordeNetwork":
-        space = 1 << bits
-        if count > space:
-            raise ValueError(f"{count} nodes exceed the 2^{bits} ID space")
-        rng = make_rng(seed)
-        return cls.with_ids(rng.sample(range(space), count), bits, seed)
+        return cls.with_ids(cls._sample_ids(count, bits, seed), bits, seed)
 
     @classmethod
     def complete(cls, bits: int) -> "KoordeNetwork":
         return cls.with_ids(range(1 << bits), bits)
-
-    # ------------------------------------------------------------------
-    # Network interface
-    # ------------------------------------------------------------------
-
-    def live_nodes(self) -> Sequence[KoordeNode]:
-        return self.ring.nodes()
-
-    @property
-    def size(self) -> int:
-        return len(self.ring)
-
-    def key_id(self, key: object) -> int:
-        return hash_to_ring(key, self.bits)
-
-    def owner_of_id(self, key_id: int) -> KoordeNode:
-        """A key is stored at its successor, as in Chord."""
-        return self.ring.successor(key_id)
 
     # ------------------------------------------------------------------
     # routing
@@ -239,121 +210,28 @@ class KoordeNetwork(Network):
         return None, timeouts
 
     # ------------------------------------------------------------------
-    # membership changes
+    # de Bruijn chain (the ring itself is SuccessorRingNetwork's)
     # ------------------------------------------------------------------
+    #
+    # Nodes holding a leaver as their de Bruijn pointer or backup are
+    # *not* notified (they have no incoming-pointer knowledge); those
+    # entries stay stale until stabilisation — the root cause of the
+    # lookup failures the paper reports for p >= 0.3.
 
-    def join(self, name: object) -> KoordeNode:
-        """Join: wire the joiner, notify its ring neighbours (as Chord)."""
-        node_id = self._free_id_for(name)
-        self.invalidate_owner_cache()
-        node = KoordeNode(name, node_id, self.bits)
-        had_peers = len(self.ring) > 0
-        self.ring.add(node_id, node)
-        self._wire(node)
-        if had_peers:
-            successor = node.successor
-            if successor is not None:
-                successor.predecessor = node
-                self.maintenance_updates += 1
-            predecessor = node.predecessor
-            if predecessor is not None:
-                predecessor.successors = self.ring.successor_run(
-                    predecessor.id, SUCCESSOR_LIST_SIZE
-                )
-                self.maintenance_updates += 1
-        return node
-
-    def _free_id_for(self, name: object) -> int:
-        node_id = hash_to_ring(name, self.bits)
-        space = 1 << self.bits
-        if len(self.ring) >= space:
-            raise RuntimeError("identifier space exhausted")
-        while node_id in self.ring:
-            node_id = (node_id + 1) % space
-        return node_id
-
-    def leave(self, node: KoordeNode) -> None:
-        """Graceful departure: notify successors and predecessor only.
-
-        Nodes holding ``node`` as their de Bruijn pointer or backup are
-        *not* notified (they have no incoming-pointer knowledge); those
-        entries stay stale until stabilisation — the root cause of the
-        lookup failures the paper reports for p >= 0.3.
-        """
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.invalidate_owner_cache()
-        node.alive = False
-        self.ring.remove(node.id)
-        predecessor = node.predecessor
-        successor = next((s for s in node.successors if s.alive), None)
-        if successor is not None and successor.predecessor is node:
-            successor.predecessor = (
-                predecessor
-                if predecessor is not None and predecessor.alive
-                else None
-            )
-            self.maintenance_updates += 1
-        if predecessor is not None and predecessor.alive:
-            merged = [s for s in predecessor.successors if s is not node]
-            for candidate in node.successors:
-                if candidate is not predecessor and candidate not in merged:
-                    merged.append(candidate)
-            predecessor.successors = merged[:SUCCESSOR_LIST_SIZE]
-            self.maintenance_updates += 1
-
-    def fail(self, node: KoordeNode) -> None:
-        """Silent failure: the ring is not spliced; successor lists,
-        predecessors and de Bruijn chains all stay stale."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.invalidate_owner_cache()
-        node.alive = False
-        self.ring.remove(node.id)
-
-    def on_dead_entry(self, observer: KoordeNode, dead: KoordeNode) -> int:
-        """Lazy repair after a timeout on ``dead``: splice it out of the
-        successor list, clear a stale predecessor, and re-derive the de
-        Bruijn pointer with its backups when the chain held the corpse
-        (the targeted version of what :meth:`stabilize_node` does on its
-        30 s timer)."""
-        repaired = 0
-        if any(s is dead for s in observer.successors):
-            observer.successors = [
-                s for s in observer.successors if s is not dead
-            ]
-            repaired += 1
-        if observer.predecessor is dead:
-            observer.predecessor = None
-            repaired += 1
+    def _repair_long_links(
+        self, observer: KoordeNode, dead: KoordeNode
+    ) -> int:
+        """Re-derive the de Bruijn pointer with its backups when the
+        chain held the corpse (the targeted version of what
+        :meth:`stabilize_node` does on its 30 s timer, §4.4)."""
         if observer.debruijn is dead or any(
             backup is dead for backup in observer.debruijn_backups
         ):
-            self._wire_debruijn(observer)
-            repaired += 1
-        return repaired
+            self._wire_long_links(observer)
+            return 1
+        return 0
 
-    def stabilize(self) -> None:
-        """Restore all pointers — successor lists, de Bruijn chain — from
-        the live membership (§4.4: stabilisation updates the first de
-        Bruijn node and its predecessors in time)."""
-        for node in self.ring.nodes():
-            self._wire(node)
-
-    def stabilize_node(self, node: KoordeNode) -> None:
-        """One node's stabilisation: refresh the successor list and the
-        de Bruijn pointer with its backups (§4.4)."""
-        if node.alive:
-            self._wire(node)
-
-    def _wire(self, node: KoordeNode) -> None:
-        node.successors = self.ring.successor_run(node.id, SUCCESSOR_LIST_SIZE)
-        node.predecessor = (
-            self.ring.predecessor(node.id) if len(self.ring) > 1 else None
-        )
-        self._wire_debruijn(node)
-
-    def _wire_debruijn(self, node: KoordeNode) -> None:
+    def _wire_long_links(self, node: KoordeNode) -> None:
         if len(self.ring) > 1:
             # "The first de Bruijn node of a node with ID m is the node
             # that immediately precedes 2m" — at-or-before, so that in a
@@ -378,11 +256,9 @@ class KoordeNetwork(Network):
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        nodes = self.ring.nodes()
-        for node in nodes:
-            if len(nodes) == 1:
-                continue
-            assert node.successors, f"{node!r} has an empty successor list"
+        if len(self.ring) == 1:
+            return
+        for node in self.ring.nodes():
             assert node.debruijn is not None
             expected = self.ring.at_or_before_id((2 * node.id) % self.ring.modulus)
             assert node.debruijn.id == expected, (

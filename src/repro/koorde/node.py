@@ -11,22 +11,18 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.dht.base import Node
+from repro.dht.ring_overlay import RingNode
 
 __all__ = ["KoordeNode"]
 
 
-class KoordeNode(Node):
+class KoordeNode(RingNode):
     """A Koorde participant on the ``2^bits`` identifier ring."""
 
-    __slots__ = ("id", "bits", "debruijn", "debruijn_backups", "successors", "predecessor")
+    __slots__ = ("debruijn", "debruijn_backups", "successors", "predecessor")
 
     def __init__(self, name: object, node_id: int, bits: int) -> None:
-        super().__init__(name)
-        if not 0 <= node_id < (1 << bits):
-            raise ValueError(f"id {node_id} outside [0, 2^{bits})")
-        self.id = node_id
-        self.bits = bits
+        super().__init__(name, node_id, bits)
         #: first de Bruijn node: the live predecessor of 2 * id.
         self.debruijn: Optional["KoordeNode"] = None
         #: three immediate predecessors of the de Bruijn node (backups).
@@ -35,24 +31,8 @@ class KoordeNode(Node):
         self.successors: List["KoordeNode"] = []
         self.predecessor: Optional["KoordeNode"] = None
 
-    @property
-    def node_id(self) -> int:
-        return self.id
-
-    @property
-    def successor(self) -> Optional["KoordeNode"]:
-        return self.successors[0] if self.successors else None
-
-    @property
-    def degree(self) -> int:
-        unique = {s.id for s in self.successors}
-        unique.update(b.id for b in self.debruijn_backups)
-        if self.debruijn is not None:
-            unique.add(self.debruijn.id)
-        if self.predecessor is not None:
-            unique.add(self.predecessor.id)
-        unique.discard(self.id)
-        return len(unique)
+    def long_links(self) -> List["KoordeNode"]:
+        return self.debruijn_chain()
 
     def debruijn_chain(self) -> List["KoordeNode"]:
         """The de Bruijn pointer followed by its backups, closest first."""

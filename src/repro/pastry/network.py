@@ -14,15 +14,13 @@ Cycloid §3.1 inherits.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.dht.base import Network
-from repro.dht.hashing import hash_to_ring
-from repro.dht.ring import SortedRing, in_interval
+from repro.dht.ring import in_interval
+from repro.dht.ring_overlay import RingNetwork
 from repro.dht.routing import RoutingDecision
 from repro.pastry.node import PastryNode
 from repro.util.bitops import circular_distance, clockwise_distance
-from repro.util.rng import make_rng
 
 __all__ = ["PastryNetwork"]
 
@@ -34,7 +32,7 @@ DEFAULT_DIGIT_BITS = 2
 DEFAULT_LEAF_SET = 8  # |L|: half smaller, half larger
 
 
-class PastryNetwork(Network):
+class PastryNetwork(RingNetwork):
     """A Pastry overlay on a ``2^bits`` ring of base-``2^digit_bits``
     digit strings."""
 
@@ -48,16 +46,13 @@ class PastryNetwork(Network):
         leaf_set_size: int = DEFAULT_LEAF_SET,
         seed: Optional[int] = None,
     ) -> None:
-        super().__init__()
         if bits % digit_bits != 0:
             raise ValueError("bits must be a multiple of digit_bits")
         if leaf_set_size < 2 or leaf_set_size % 2 != 0:
             raise ValueError("leaf_set_size must be even and >= 2")
-        self.bits = bits
-        self.digit_bits = digit_bits
-        self.leaf_set_size = leaf_set_size
-        self.ring: SortedRing[PastryNode] = SortedRing(bits)
-        self._rng = make_rng(seed)
+        super().__init__(
+            bits, seed, digit_bits=digit_bits, leaf_set_size=leaf_set_size
+        )
 
     # ------------------------------------------------------------------
     # construction
@@ -73,12 +68,7 @@ class PastryNetwork(Network):
         seed: Optional[int] = None,
     ) -> "PastryNetwork":
         network = cls(bits, digit_bits, leaf_set_size, seed)
-        for node_id in node_ids:
-            network.ring.add(
-                node_id, PastryNode(f"n{node_id}", node_id, bits, digit_bits)
-            )
-        network.stabilize()
-        return network
+        return network._populate(node_ids)
 
     @classmethod
     def with_random_ids(
@@ -89,28 +79,14 @@ class PastryNetwork(Network):
         leaf_set_size: int = DEFAULT_LEAF_SET,
         seed: Optional[int] = None,
     ) -> "PastryNetwork":
-        space = 1 << bits
-        if count > space:
-            raise ValueError(f"{count} nodes exceed the 2^{bits} ID space")
-        rng = make_rng(seed)
         return cls.with_ids(
-            rng.sample(range(space), count), bits, digit_bits,
+            cls._sample_ids(count, bits, seed), bits, digit_bits,
             leaf_set_size, seed,
         )
 
     # ------------------------------------------------------------------
     # Network interface
     # ------------------------------------------------------------------
-
-    def live_nodes(self) -> Sequence[PastryNode]:
-        return self.ring.nodes()
-
-    @property
-    def size(self) -> int:
-        return len(self.ring)
-
-    def key_id(self, key: object) -> int:
-        return hash_to_ring(key, self.bits)
 
     def owner_of_id(self, key_id: int) -> PastryNode:
         """The numerically closest live node (ties clockwise)."""
@@ -292,35 +268,22 @@ class PastryNetwork(Network):
     # membership
     # ------------------------------------------------------------------
 
-    def join(self, name: object) -> PastryNode:
-        self.invalidate_owner_cache()
-        node_id = self._free_id_for(name)
-        node = PastryNode(name, node_id, self.bits, self.digit_bits)
-        self.ring.add(node_id, node)
+    def _new_node(self, name: object, node_id: int) -> PastryNode:
+        return PastryNode(name, node_id, self.bits, self.digit_bits)
+
+    def _admit(self, name: object) -> PastryNode:
+        node = self._place(name, self._free_id_for(name))
         self._wire(node)
         self.maintenance_updates += self._refresh_leaves_near(
-            node_id, exclude=node
+            node.id, exclude=node
         )
         return node
 
-    def leave(self, node: PastryNode) -> None:
+    def _notify_leave(self, node: PastryNode) -> None:
         """Graceful departure: leaf-set holders are notified; routing
         tables stay stale until stabilisation (the Pastry repair
-        model)."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.invalidate_owner_cache()
-        node.alive = False
-        self.ring.remove(node.id)
+        model).  A silent failure repairs nothing."""
         self.maintenance_updates += self._refresh_leaves_near(node.id)
-
-    def fail(self, node: PastryNode) -> None:
-        """Silent failure: nothing is repaired until stabilisation."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.invalidate_owner_cache()
-        node.alive = False
-        self.ring.remove(node.id)
 
     def on_dead_entry(self, observer: PastryNode, dead: PastryNode) -> int:
         """Lazy repair after a timeout on ``dead``: re-derive the leaf
@@ -339,15 +302,6 @@ class PastryNetwork(Network):
                 for row in rows
             ]
         return repaired
-
-    def _free_id_for(self, name: object) -> int:
-        node_id = hash_to_ring(name, self.bits)
-        space = 1 << self.bits
-        if len(self.ring) >= space:
-            raise RuntimeError("identifier space exhausted")
-        while node_id in self.ring:
-            node_id = (node_id + 1) % space
-        return node_id
 
     def _refresh_leaves_near(
         self, point: int, exclude: Optional[PastryNode] = None
@@ -374,14 +328,6 @@ class PastryNetwork(Network):
             if self._wire_leaves(node) and node is not exclude:
                 changed += 1
         return changed
-
-    def stabilize(self) -> None:
-        for node in self.ring.nodes():
-            self._wire(node)
-
-    def stabilize_node(self, node: PastryNode) -> None:
-        if node.alive:
-            self._wire(node)
 
     # ------------------------------------------------------------------
     # wiring

@@ -54,10 +54,8 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    Optional,
     Sequence,
     Set,
-    Tuple,
 )
 
 from repro.sim.latency import stable_unit
@@ -208,7 +206,7 @@ class Adversary:
     def infiltrate(self, network: "Network") -> int:
         """Insert the plan's sybils at crafted identifiers.
 
-        The attackers are added directly to the membership structure
+        The attackers enter through :meth:`Network.insert_at`
         (modelling joins whose node-id the adversary chose), then one
         full stabilisation round wires everyone — attacker and honest
         node alike — from the new membership, exactly as the overlay's
@@ -219,30 +217,31 @@ class Adversary:
         count = self.plan.sybils
         if count == 0:
             return 0
-        from repro.chord.network import ChordNetwork
         from repro.core.network import CycloidNetwork
-        from repro.koorde.network import KoordeNetwork
+        from repro.dht.ring_overlay import SuccessorRingNetwork
 
         if isinstance(network, CycloidNetwork):
-            added = self._infiltrate_cycloid(network, count)
-        elif isinstance(network, (ChordNetwork, KoordeNetwork)):
-            added = self._infiltrate_ring(network, count)
+            slots = self._cycloid_slots(network, count)
+        elif isinstance(network, SuccessorRingNetwork):
+            slots = self._ring_slots(network, count)
         else:
             raise ValueError(
                 f"{type(network).__name__} does not support sybil "
                 "infiltration; supported overlays: Cycloid, Chord, Koorde"
             )
-        if added:
+        for node_id in slots:
+            name = attacker_name(len(self.attacker_names))
+            network.insert_at(name, node_id)
+            self.attacker_names.append(name)
+        if slots:
             network.stabilize()
-            network.invalidate_owner_cache()
-        self.inserted += added
-        return added
+        self.inserted += len(slots)
+        return len(slots)
 
-    def _infiltrate_cycloid(self, network, count: int) -> int:
+    def _cycloid_slots(self, network, count: int) -> List[object]:
         """Fill the target key's local cycle first, then spiral outward
         through the nearest cycles on the large cycle — the id-space
         clustering that saturates the owner's neighbourhood."""
-        from repro.core.node import CycloidNode
         from repro.dht.identifiers import CycloidId
         from repro.util.bitops import circular_distance
 
@@ -277,13 +276,9 @@ class Adversary:
                     break
             if len(slots) == count:
                 break
-        for node_id in slots:
-            name = attacker_name(len(self.attacker_names))
-            topology.add(node_id, CycloidNode(name, node_id))
-            self.attacker_names.append(name)
-        return len(slots)
+        return slots
 
-    def _infiltrate_ring(self, network, count: int) -> int:
+    def _ring_slots(self, network, count: int) -> List[int]:
         """Consecutive free ring ids clockwise from the target key: the
         first sybil becomes the key's successor (its owner), the rest
         wall off the arc behind it."""
@@ -298,12 +293,7 @@ class Adversary:
                 if len(ids) == count:
                     break
             candidate = (candidate + 1) % space
-        node_class = type(network.live_nodes()[0]) if network.size else None
-        for node_id in ids:
-            name = attacker_name(len(self.attacker_names))
-            ring.add(node_id, node_class(name, node_id, network.bits))
-            self.attacker_names.append(name)
-        return len(ids)
+        return ids
 
     # ------------------------------------------------------------------
     # eclipse routing-table poisoning

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dht.base import Network
 from repro.dht.hashing import consistent_hash
@@ -308,10 +308,9 @@ class ViceroyNetwork(Network):
     # membership changes
     # ------------------------------------------------------------------
 
-    def join(self, name: object) -> ViceroyNode:
+    def _admit(self, name: object) -> ViceroyNode:
         """Arrival: pick an identity and a level, splice into the rings,
         and repair every link that should now point at the newcomer."""
-        self.invalidate_owner_cache()
         node_id = self._free_id(name)
         size = len(self.ring) + 1
         max_level = max(1, round(math.log2(size))) if size > 1 else 1
@@ -320,15 +319,15 @@ class ViceroyNetwork(Network):
         self.maintenance_updates += self._affected_by(node)
         return node
 
-    def leave(self, node: ViceroyNode) -> None:
-        """Graceful departure: every node holding a link to the leaver is
-        repaired before it goes (why Viceroy shows zero timeouts but a
-        high connectivity-maintenance bill)."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
+    def _unlink(self, node: ViceroyNode) -> None:
+        """Departure, graceful or silent: every node holding a link to
+        the leaver is repaired (why Viceroy shows zero timeouts but a
+        high connectivity-maintenance bill).  Links derive from the live
+        membership, so they can never be stale; a silent failure's bill
+        is paid by failure detection instead of goodbye messages, and is
+        charged to :attr:`maintenance_updates` all the same, as the
+        paper's critique of Viceroy's maintenance cost would."""
         self.maintenance_updates += self._affected_by(node)
-        self.invalidate_owner_cache()
-        node.alive = False
         self._evict(node)
         self._readjust_levels()
 
@@ -381,21 +380,6 @@ class ViceroyNetwork(Network):
                 if left is node or right is node:
                     affected += 1
         return affected
-
-    def fail(self, node: ViceroyNode) -> None:
-        """Silent failure.  Our simulator derives links from the live
-        membership (they can never be stale), so a silent failure
-        behaves like a leave whose repair bill is paid by failure
-        detection instead of goodbye messages — we still charge it to
-        :attr:`maintenance_updates`, as the paper's critique of
-        Viceroy's maintenance cost would."""
-        if not node.alive:
-            raise ValueError(f"{node!r} already departed")
-        self.maintenance_updates += self._affected_by(node)
-        self.invalidate_owner_cache()
-        node.alive = False
-        self._evict(node)
-        self._readjust_levels()
 
     def on_dead_entry(self, observer: ViceroyNode, dead: ViceroyNode) -> int:
         """Nothing to repair: Viceroy links are derived from the live

@@ -1,22 +1,27 @@
-"""The membership cache's per-node memos track every membership change.
+"""The membership cache tracks every membership change.
 
-Viceroy's seven links and the leaf sets Cycloid's lazy repair
-re-derives are memoized in the network's membership cache
+Memoized owners, Viceroy's seven links and the leaf sets Cycloid's lazy
+repair re-derives all live in the network's membership cache
 (``Network._owner_cache``), which every join/leave/fail drops.  These
-tests interleave membership changes with fault-mode lookups on one
-network and, after each step, compare every memo with a fresh
-derivation: a missed invalidation would leave a memo that disagrees.
+tests warm the cache, change the membership, and compare what the cache
+serves with a fresh derivation: a missed invalidation would leave an
+owner or a memo that disagrees.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import pytest
 
 from repro.core.network import CycloidNetwork
 from repro.dht.base import Node
+from repro.dht.identifiers import CycloidId, cycloid_space_size
+from repro.experiments.registry import ALL_PROTOCOLS, build_sized_network
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.parallel import run_sharded_lookups
 from repro.viceroy.network import ViceroyNetwork
+from repro.viceroy.node import ID_SCALE
 
 SEED = 42
 PLAN = FaultPlan(seed=SEED, crash_probability=0.3, message_loss=0.05)
@@ -112,3 +117,57 @@ def test_cycloid_leaf_memos_match_a_fresh_wiring(leaf_radius):
             assert _ids(leaves) == _ids(fresh), (step, node)
         seen += len(memos)
     assert seen > 0  # timeouts at dead leaves memoized some leaf sets
+
+
+def _key_space(network):
+    """Every key id of the network's (small) id space; a grid of it for
+    Viceroy's 2^52 ring and CAN's torus."""
+    protocol = network.protocol_name
+    if protocol == "cycloid":
+        size = cycloid_space_size(network.dimension)
+        return [CycloidId.from_linear(i, network.dimension) for i in range(size)]
+    if protocol == "viceroy":
+        step = ID_SCALE // 256
+        points = [i * step for i in range(256)]
+        for node in network.live_nodes():
+            points.extend((node.id, (node.id + 1) % ID_SCALE))
+        return points
+    if protocol == "can":
+        step = network.modulus // 16
+        axis = range(0, network.modulus, step)
+        return list(product(axis, repeat=network.dimensions))
+    return list(range(1 << network.bits))
+
+
+def _join(network):
+    network.join("coherence-joiner")
+
+
+def _leave(network):
+    live = network.live_nodes()
+    network.leave(live[len(live) // 2])
+
+
+def _fail(network):
+    live = network.live_nodes()
+    network.fail(live[len(live) // 3])
+
+
+@pytest.mark.parametrize(
+    "change", [_join, _leave, _fail], ids=["join", "leave", "fail"]
+)
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_cached_owners_follow_membership_changes(protocol, change):
+    network = build_sized_network(protocol, 56, seed=SEED)
+    keys = _key_space(network)
+    for key_id in keys:
+        network.cached_owner_of_id(key_id)
+    assert network._owner_cache
+    change(network)
+    # A departure never serves a dead owner (the cache re-derives those),
+    # so the drop itself is what shows the cache was not left stale.
+    assert not network._owner_cache
+    for key_id in keys:
+        assert network.cached_owner_of_id(key_id) is network.owner_of_id(
+            key_id
+        ), key_id
